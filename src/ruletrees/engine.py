@@ -15,7 +15,9 @@ they are equal.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Iterable
 
 from .errors import ArityMismatch, Rejected, ResourceLimit
@@ -24,6 +26,10 @@ from .trees import Tree
 Element = Any
 
 DEFAULT_MAX_SET_SIZE = 100_000
+
+# Up to this many new elements, a layer is inserted into the sorted pool
+# one by one; a larger layer is merged in one linear pass instead.
+_INSERT_BATCH = 32
 
 
 class UnknownRuleName(Rejected):
@@ -71,19 +77,18 @@ class RuleSystem:
 
     rules: tuple[Rule, ...]
     domain: str = ""
+    _by_name: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        seen = set()
+        by_name = {}
         for rule in self.rules:
-            if rule.name in seen:
+            if rule.name in by_name:
                 raise ValueError(f"duplicate rule name {rule.name}")
-            seen.add(rule.name)
+            by_name[rule.name] = rule
+        object.__setattr__(self, "_by_name", by_name)
 
     def find(self, name: str) -> Rule | None:
-        for rule in self.rules:
-            if rule.name == name:
-                return rule
-        return None
+        return self._by_name.get(name)
 
 
 def render_element(element: Element) -> str:
@@ -121,6 +126,69 @@ def step(
     return frozenset(out)
 
 
+def _fresh_tuples(arity: int, pool: list, fresh: list, fresh_set: set) -> Iterable[tuple]:
+    """Argument tuples over `pool` that contain an element of `fresh`.
+
+    They come in the order of the full product over `pool`: at each
+    position the whole pool, except at the last position when no earlier
+    one holds a fresh element, where only `fresh` can complete the tuple.
+    Both lists are render-sorted.  A nullary rule has its one empty tuple
+    in the first layer only, the one with an empty pool.
+    """
+    if arity == 0:
+        return [] if pool else [()]
+    return itertools.chain.from_iterable(
+        itertools.product(*zip(prefix), fresh if fresh_set.isdisjoint(prefix) else pool)
+        for prefix in itertools.product(pool, repeat=arity - 1)
+    )
+
+
+def _layers(system: RuleSystem, max_size: int, limit_message: str):
+    """The closure layers, computed semi-naively, until a fixed point.
+
+    Each yielded layer lists its new elements in discovery order, each as
+    (element, rule, args) for the first rule application reaching it:
+    rules in system order, argument tuples in rendering order.  A tuple
+    made only of elements older than the previous layer yields an element
+    found already, so later layers try only tuples holding an element new
+    in the previous layer; nullary rules fire in the first layer only.
+    Raises ResourceLimit(limit_message) once more than `max_size`
+    elements are known.
+    """
+    keys: list[str] = []  # renderings of `pool`, sorted
+    pool: list = []
+    known: set = set()
+    fresh: list = []
+    while True:
+        fresh_set = set(fresh)
+        layer = []
+        for rule in system.rules:
+            fn = rule.fn
+            for args in _fresh_tuples(rule.arity, pool, fresh, fresh_set):
+                result = fn(*args)
+                if result is None or result in known:
+                    continue
+                known.add(result)
+                if len(known) > max_size:
+                    raise ResourceLimit(limit_message)
+                layer.append((result, rule, args))
+        if not layer:
+            return
+        yield layer
+        keyed = sorted(((render_element(e), e) for e, _, _ in layer), key=itemgetter(0))
+        fresh = [element for _, element in keyed]
+        if len(keyed) <= _INSERT_BATCH:
+            for key, element in keyed:
+                at = bisect_left(keys, key)
+                keys.insert(at, key)
+                pool.insert(at, element)
+        else:
+            # two sorted runs: the sort merges them in linear time
+            merged = sorted([*zip(keys, pool), *keyed], key=itemgetter(0))
+            keys = [key for key, _ in merged]
+            pool = [element for _, element in merged]
+
+
 def iterate(
     system: RuleSystem,
     steps: int,
@@ -129,18 +197,20 @@ def iterate(
 ) -> tuple[frozenset, int | None]:
     """Apply `step` to the empty set `steps` times.
 
-    Returns the resulting set together with the first index at which a
-    fixed point was reached, or None if the chain was still growing.
+    The layers come from `_layers`, which gives the same sets as the
+    fold of `step` while trying each argument tuple only once.  Returns
+    the resulting set together with the first index at which a fixed
+    point was reached, or None if the chain was still growing.
     """
     if steps < 0:
         raise ValueError("step count must be nonnegative")
-    current: frozenset = frozenset()
-    for k in range(steps):
-        nxt = step(system, current, max_size=max_size)
-        if nxt == current:
-            return current, k
-        current = nxt
-    return current, None
+    elements: set = set()
+    count = 0
+    layers = _layers(system, max_size, f"step produced more than {max_size} elements")
+    for layer in itertools.islice(layers, steps):
+        elements.update(element for element, _, _ in layer)
+        count += 1
+    return frozenset(elements), (count if count < steps else None)
 
 
 def member(
@@ -160,25 +230,13 @@ def member(
     if depth < 1:
         raise ValueError("depth must be at least 1")
     witnesses: dict = {}
-    for _ in range(depth):
-        pool = _sorted_pool(witnesses)
-        fresh: dict = {}
-        for rule in system.rules:
-            for args in itertools.product(pool, repeat=rule.arity):
-                result = rule.apply(args)
-                if result is None or result in witnesses or result in fresh:
-                    continue
-                fresh[result] = Tree(
-                    (result, rule.name), tuple(witnesses[a] for a in args)
-                )
-        if not fresh:
-            break
-        witnesses.update(fresh)
-        if len(witnesses) > max_size:
-            raise ResourceLimit(f"more than {max_size} derivable elements")
+    layers = _layers(system, max_size, f"more than {max_size} derivable elements")
+    for layer in itertools.islice(layers, depth):
+        for result, rule, args in layer:
+            witnesses[result] = Tree((result, rule.name), tuple(witnesses[a] for a in args))
         if element in witnesses:
             return witnesses[element]
-    return witnesses.get(element)
+    return None
 
 
 def check_elem_tree(system: RuleSystem, tree: Tree) -> None:

@@ -36,6 +36,32 @@ def system(rng: random.Random) -> RuleSystem:
     return RuleSystem(tuple(rules), domain="numbers 0..7")
 
 
+WIDE_DOMAIN = range(12)
+
+
+def wide_system(rng: random.Random) -> RuleSystem:
+    """A rule system of arity up to 3 over the numbers 0..11 with partial tables.
+
+    Past 9, rendering order ("10" < "2") differs from numeric order, so
+    a search that walks argument tuples in the wrong order picks other
+    witnesses than one that renders them.
+    """
+    count = rng.randint(1, 5)
+    rules = []
+    for i in range(count):
+        arity = rng.choice((0, 0, 1, 1, 2, 2, 3))
+        if arity == 0:
+            value = rng.choice(WIDE_DOMAIN)
+            rules.append(Rule(f"r{i}", 0, lambda value=value: value))
+        else:
+            table = {}
+            for args in itertools.product(WIDE_DOMAIN, repeat=arity):
+                if rng.random() < 0.3:
+                    table[args] = rng.choice(WIDE_DOMAIN)
+            rules.append(Rule(f"r{i}", arity, lambda *args, table=table: table.get(args)))
+    return RuleSystem(tuple(rules))
+
+
 ATOMS = (nd.Atom("P"), nd.Atom("Q"), nd.Atom("R"))
 
 

@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ruletrees
 from ruletrees.cli import run
 
 PARITY_TEXT = """\
@@ -287,10 +290,14 @@ def test_missing_at_file(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same ruletrees as this process, installed or not
+    src = str(Path(ruletrees.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
         [sys.executable, "-m", "ruletrees", "even", "iterate", "--steps", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert result.stdout == "{0, 2}\n"

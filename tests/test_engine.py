@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 import generators
 from ruletrees.engine import (
+    DEFAULT_MAX_SET_SIZE,
     Rule,
     RuleSystem,
     UnknownRuleName,
@@ -103,6 +105,13 @@ def test_resource_limit():
         iterate(counter, 50, max_size=10)
     with pytest.raises(ResourceLimit):
         member(counter, 40, 50, max_size=10)
+    # the bounds themselves: a closure of exactly max_size elements is fine
+    assert iterate(counter, 10, max_size=10) == (frozenset(range(10)), None)
+    with pytest.raises(ResourceLimit, match="^step produced more than 10 elements$"):
+        iterate(counter, 11, max_size=10)
+    assert member(counter, 9, 50, max_size=10).height() == 10
+    with pytest.raises(ResourceLimit, match="^more than 10 derivable elements$"):
+        member(counter, 10, 11, max_size=10)
 
 
 def test_member_finds_minimal_witness():
@@ -248,3 +257,70 @@ def test_labelings_stay_coherent(seed):
         names = erase_elements(witness)
         assert infer_conclusion(system, names) == element
         assert infer_full_tree(system, names) == witness
+
+
+def _naive_iterate(system, steps, *, max_size=DEFAULT_MAX_SET_SIZE):
+    """The k-fold fold of `step` from the empty set."""
+    current: frozenset = frozenset()
+    for k in range(steps):
+        nxt = step(system, current, max_size=max_size)
+        if nxt == current:
+            return current, k
+        current = nxt
+    return current, None
+
+
+def _naive_member(system, element, depth, *, max_size=DEFAULT_MAX_SET_SIZE):
+    """Minimal-height search that reapplies every rule to the whole pool."""
+    witnesses: dict = {}
+    for _ in range(depth):
+        pool = sorted(witnesses, key=str)
+        fresh: dict = {}
+        for rule in system.rules:
+            for args in itertools.product(pool, repeat=rule.arity):
+                result = rule.apply(args)
+                if result is None or result in witnesses or result in fresh:
+                    continue
+                fresh[result] = Tree((result, rule.name), tuple(witnesses[a] for a in args))
+        if not fresh:
+            break
+        witnesses.update(fresh)
+        if len(witnesses) > max_size:
+            raise ResourceLimit(f"more than {max_size} derivable elements")
+        if element in witnesses:
+            return witnesses[element]
+    return witnesses.get(element)
+
+
+def _outcome(search, *args, **kwargs):
+    try:
+        return search(*args, **kwargs)
+    except ResourceLimit as error:
+        return ResourceLimit, str(error)
+
+
+@given(_seeds)
+def test_closure_layers_match_naive_reference(seed):
+    rng = random.Random(seed)
+    system = generators.wide_system(rng)
+    max_size = rng.choice((3, 8, DEFAULT_MAX_SET_SIZE))
+    for steps in range(7):
+        assert _outcome(iterate, system, steps, max_size=max_size) == _outcome(
+            _naive_iterate, system, steps, max_size=max_size
+        )
+    for element in generators.WIDE_DOMAIN:
+        depth = rng.randint(1, 6)
+        assert _outcome(member, system, element, depth, max_size=max_size) == _outcome(
+            _naive_member, system, element, depth, max_size=max_size
+        )
+
+
+def test_large_layers_match_naive_reference():
+    # layers 8 and 9 bring 64 and 22 new elements, which join the pool in
+    # one merge rather than one insertion each
+    adder = RuleSystem(
+        (Rule("one", 0, lambda: 1), Rule("add", 2, lambda a, b: a + b if a + b <= 150 else None))
+    )
+    assert iterate(adder, 12) == _naive_iterate(adder, 12) == (frozenset(range(1, 151)), 9)
+    for target in (1, 33, 64, 65, 100, 129, 150, 151):
+        assert member(adder, target, 12) == _naive_member(adder, target, 12)
