@@ -100,7 +100,7 @@ def compile_nfa(nfa: Nfa) -> CompiledRules:
     erasure = {name: letter for name, letter, _, _ in edges}
     erasure.update({name: "" for name, _ in finals})
     return CompiledRules(
-        system=RuleSystem(tuple(rules), domain="state"),
+        system=RuleSystem(tuple(rules)),
         edges=tuple(edges),
         finals=tuple(finals),
         erasure=erasure,

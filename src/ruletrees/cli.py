@@ -52,25 +52,32 @@ def _latex_name(name: str) -> str:
     return f"{base}_{{{sub}}}" if sub else base
 
 
-def _print_full_tree_latex(tree: Tree):
-    print(LATEX_PREAMBLE)
+def _full_tree_latex(tree: Tree) -> str:
+    """The `$$\\irule...$$` line for an (element, rule name) tree."""
     body = tree_to_latex(
         tree, lambda label: (render_element(label[0]), _latex_name(label[1]))
     )
-    print(f"$${body}$$")
-
-
-def _load_system(selector: str):
-    if selector == "even":
-        return even_numbers()
-    with open(selector, "r", encoding="utf-8") as handle:
-        nfa = automata.parse_nfa(handle.read())
-    return automata.compile_nfa(nfa).system
+    return f"$${body}$$"
 
 
 def _load_nfa(path: str) -> automata.Nfa:
     with open(path, "r", encoding="utf-8") as handle:
         return automata.parse_nfa(handle.read())
+
+
+def _load_system(selector: str):
+    if selector == "even":
+        return even_numbers()
+    return automata.compile_nfa(_load_nfa(selector)).system
+
+
+def _print_verdict(result: int | None, fuel: int) -> int:
+    """Print an evaluation's outcome and return its exit code."""
+    if result is None:
+        print(f"diverged (fuel {fuel})")
+        return 1
+    print(f"value {result}")
+    return 0
 
 
 # ------------------------------------------------------------------- handlers
@@ -89,7 +96,8 @@ def cmd_even_member(args) -> int:
         print(f"not found within depth {args.depth}")
         return 1
     if args.latex:
-        _print_full_tree_latex(witness)
+        print(LATEX_PREAMBLE)
+        print(_full_tree_latex(witness))
     else:
         print(print_name_tree(engine.erase_elements(witness)))
     return 0
@@ -100,7 +108,8 @@ def cmd_infer(args) -> int:
     tree = parse_name_tree(read_arg(args.tree))
     full = engine.infer_full_tree(system, tree)
     if args.latex:
-        _print_full_tree_latex(full)
+        print(LATEX_PREAMBLE)
+        print(_full_tree_latex(full))
     else:
         print(render_element(full.label[0]))
     return 0
@@ -156,11 +165,7 @@ def cmd_recfun_eval(args) -> int:
     except ArityMismatch as err:
         print(err.reason, file=sys.stderr)
         return 2
-    if result is None:
-        print(f"diverged (fuel {args.fuel})")
-        return 1
-    print(f"value {result}")
-    return 0
+    return _print_verdict(result, args.fuel)
 
 
 def cmd_recfun_godel(args) -> int:
@@ -193,11 +198,7 @@ def cmd_recfun_diagonal(args) -> int:
     if not args.self_apply:
         return 0
     result = recfun.evaluate(program, (recfun.godel(program),), args.fuel)
-    if result is None:
-        print(f"diverged (fuel {args.fuel})")
-        return 1
-    print(f"value {result}")
-    return 0
+    return _print_verdict(result, args.fuel)
 
 
 def cmd_nfa_run(args) -> int:
@@ -216,11 +217,7 @@ def cmd_nfa_derivations(args) -> int:
         print(LATEX_PREAMBLE)
         system = automata.compile_nfa(nfa).system
         for deriv in derivs:
-            full = engine.infer_full_tree(system, deriv)
-            body = tree_to_latex(
-                full, lambda label: (render_element(label[0]), _latex_name(label[1]))
-            )
-            print(f"$${body}$$")
+            print(_full_tree_latex(engine.infer_full_tree(system, deriv)))
     else:
         for deriv in derivs:
             print(print_name_tree(deriv))

@@ -73,10 +73,9 @@ class Rule:
 
 @dataclass(frozen=True)
 class RuleSystem:
-    """A finite list of rules with distinct names over one element domain."""
+    """A finite list of rules with distinct names."""
 
     rules: tuple[Rule, ...]
-    domain: str = ""
     _by_name: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -257,6 +256,28 @@ def check_elem_tree(system: RuleSystem, tree: Tree) -> None:
             )
 
 
+def _apply_named(system: RuleSystem, name: str, child_elems: tuple, path: tuple[int, ...]):
+    """The element the rule called `name` derives from `child_elems` at the
+    node `path`; raises UnknownRuleName, ArityMismatch or RuleUndefined."""
+    rule = system.find(name)
+    if rule is None:
+        raise UnknownRuleName(path, f"unknown rule {name}")
+    if rule.arity != len(child_elems):
+        raise ArityMismatch(
+            path,
+            f"rule {name} expects {rule.arity} premise(s), "
+            f"node has {len(child_elems)}",
+        )
+    result = rule.apply(child_elems)
+    if result is None:
+        raise RuleUndefined(
+            path,
+            f"rule {name} is undefined at "
+            f"({', '.join(render_element(e) for e in child_elems)})",
+        )
+    return result
+
+
 def check_full_tree(system: RuleSystem, tree: Tree) -> None:
     """Check a tree labeled with (element, rule name) pairs.
 
@@ -265,23 +286,7 @@ def check_full_tree(system: RuleSystem, tree: Tree) -> None:
     """
     for path, node in tree.nodes():
         element, name = node.label
-        rule = system.find(name)
-        if rule is None:
-            raise UnknownRuleName(path, f"unknown rule {name}")
-        if rule.arity != len(node.children):
-            raise ArityMismatch(
-                path,
-                f"rule {name} expects {rule.arity} premise(s), "
-                f"node has {len(node.children)}",
-            )
-        child_elems = tuple(c.label[0] for c in node.children)
-        result = rule.apply(child_elems)
-        if result is None:
-            raise RuleUndefined(
-                path,
-                f"rule {name} is undefined at "
-                f"({', '.join(render_element(e) for e in child_elems)})",
-            )
+        result = _apply_named(system, name, tuple(c.label[0] for c in node.children), path)
         if result != element:
             raise Rejected(
                 path,
@@ -295,23 +300,7 @@ def infer_full_tree(system: RuleSystem, name_tree: Tree) -> Tree:
 
     def go(node: Tree, path: tuple[int, ...]) -> Tree:
         children = tuple(go(c, path + (i,)) for i, c in enumerate(node.children))
-        rule = system.find(node.label)
-        if rule is None:
-            raise UnknownRuleName(path, f"unknown rule {node.label}")
-        if rule.arity != len(children):
-            raise ArityMismatch(
-                path,
-                f"rule {node.label} expects {rule.arity} premise(s), "
-                f"node has {len(children)}",
-            )
-        child_elems = tuple(c.label[0] for c in children)
-        result = rule.apply(child_elems)
-        if result is None:
-            raise RuleUndefined(
-                path,
-                f"rule {node.label} is undefined at "
-                f"({', '.join(render_element(e) for e in child_elems)})",
-            )
+        result = _apply_named(system, node.label, tuple(c.label[0] for c in children), path)
         return Tree((result, node.label), children)
 
     return go(name_tree, ())
@@ -342,5 +331,4 @@ def even_numbers() -> RuleSystem:
             Rule("f1", 0, lambda: 0),
             Rule("f2", 1, lambda a: a + 2),
         ),
-        domain="nat",
     )

@@ -13,10 +13,12 @@ Proofs come in three interchangeable forms:
   * named-variable terms: ordinary lambda terms with annotated binders,
     where a variable refers to the innermost enclosing binder.
 
-Checking a scheme or variable term works in two passes: contexts flow
+The two term forms share the pair and projection constructors (`PairV`,
+`FstV` and `SndV` are aliases of `Pair`, `Fst` and `Snd`); they differ
+only in their binders and leaves.  One walk checks both: contexts flow
 from the root toward the leaves (each binder extends the context with
-its annotation), then conclusions flow back from the leaves to the
-root.
+its annotation, and a named binder also makes its name visible), then
+conclusions flow back from the leaves to the root.
 """
 
 from __future__ import annotations
@@ -50,8 +52,6 @@ class Imp:
 
 
 Prop = Union[Atom, And, Imp]
-
-Context = frozenset
 
 
 @dataclass(frozen=True)
@@ -90,18 +90,18 @@ class Lam:
 
 @dataclass(frozen=True)
 class Pair:
-    left: "SchemeTerm"
-    right: "SchemeTerm"
+    left: "Term"
+    right: "Term"
 
 
 @dataclass(frozen=True)
 class Fst:
-    body: "SchemeTerm"
+    body: "Term"
 
 
 @dataclass(frozen=True)
 class Snd:
-    body: "SchemeTerm"
+    body: "Term"
 
 
 SchemeTerm = Union[Hyp, HypFull, Lam, Pair, Fst, Snd]
@@ -119,23 +119,11 @@ class LamV:
     body: "VarTerm"
 
 
-@dataclass(frozen=True)
-class PairV:
-    left: "VarTerm"
-    right: "VarTerm"
+PairV, FstV, SndV = Pair, Fst, Snd
 
+VarTerm = Union[Var, LamV, Pair, Fst, Snd]
 
-@dataclass(frozen=True)
-class FstV:
-    body: "VarTerm"
-
-
-@dataclass(frozen=True)
-class SndV:
-    body: "VarTerm"
-
-
-VarTerm = Union[Var, LamV, PairV, FstV, SndV]
+Term = Union[SchemeTerm, VarTerm]
 
 
 # ------------------------------------------------------------------- rule names
@@ -243,17 +231,23 @@ def check_sequent_deriv(tree: Tree) -> None:
 
 # ----------------------------------------------------- scheme and var checking
 
-def scheme_sequent_tree(term: SchemeTerm, root_ctx: Iterable[Prop] = ()) -> Tree:
-    """Reconstruct the sequent derivation a scheme term denotes.
+def scheme_sequent_tree(term: Term, root_ctx: Iterable[Prop] = ()) -> Tree:
+    """Reconstruct the sequent derivation a scheme or named-variable term denotes.
 
     Labels are (Sequent, rule name) pairs; the root context defaults to
-    empty.  Raises Rejected (HypNotInContext, ContextMismatch, or
-    ShapeMismatch) at the offending node.
+    empty, and its hypotheses have no names.  Raises Rejected
+    (HypNotInContext, ContextMismatch, UnboundVariable, or ShapeMismatch)
+    at the offending node.
     """
-    return _scheme_node(term, frozenset(root_ctx), ())
+    return _sequent_node(term, frozenset(root_ctx), (), ())
 
 
-def _scheme_node(term: SchemeTerm, ctx: frozenset, path: tuple[int, ...]) -> Tree:
+def _sequent_node(
+    term: Term,
+    ctx: frozenset,
+    binders: tuple[tuple[str, Prop], ...],
+    path: tuple[int, ...],
+) -> Tree:
     if isinstance(term, Hyp):
         if term.prop not in ctx:
             raise HypNotInContext(
@@ -271,84 +265,42 @@ def _scheme_node(term: SchemeTerm, ctx: frozenset, path: tuple[int, ...]) -> Tre
                 f"under {render_context(ctx)}",
             )
         return Tree((Sequent(ctx, term.prop), AXIOM))
-    if isinstance(term, Lam):
-        body = _scheme_node(term.body, ctx | {term.prop}, path + (0,))
-        concl = Imp(term.prop, body.label[0].concl)
-        return Tree((Sequent(ctx, concl), IMP_INTRO), (body,))
-    if isinstance(term, Pair):
-        left = _scheme_node(term.left, ctx, path + (0,))
-        right = _scheme_node(term.right, ctx, path + (1,))
-        concl = And(left.label[0].concl, right.label[0].concl)
-        return Tree((Sequent(ctx, concl), AND_INTRO), (left, right))
-    if isinstance(term, Fst):
-        body = _scheme_node(term.body, ctx, path + (0,))
-        got = body.label[0].concl
-        if not isinstance(got, And):
-            raise ShapeMismatch(
-                path, f"fst needs a conjunction, got {print_prop(got)}"
-            )
-        return Tree((Sequent(ctx, got.left), AND_ELIM1), (body,))
-    if isinstance(term, Snd):
-        body = _scheme_node(term.body, ctx, path + (0,))
-        got = body.label[0].concl
-        if not isinstance(got, And):
-            raise ShapeMismatch(
-                path, f"snd needs a conjunction, got {print_prop(got)}"
-            )
-        return Tree((Sequent(ctx, got.right), AND_ELIM2), (body,))
-    raise TypeError(f"not a scheme term: {term!r}")
-
-
-def check_scheme(term: SchemeTerm, root_ctx: Iterable[Prop] = ()) -> Sequent:
-    """Check a scheme term and return the sequent it proves."""
-    return scheme_sequent_tree(term, root_ctx).label[0]
-
-
-def var_sequent_tree(term: VarTerm, root_ctx: Iterable[Prop] = ()) -> Tree:
-    """Reconstruct the sequent derivation a named-variable term denotes."""
-    return _var_node(term, (), frozenset(root_ctx), ())
-
-
-def _var_node(
-    term: VarTerm,
-    binders: tuple[tuple[str, Prop], ...],
-    root_ctx: frozenset,
-    path: tuple[int, ...],
-) -> Tree:
-    ctx = root_ctx | {prop for _, prop in binders}
     if isinstance(term, Var):
         for name, prop in reversed(binders):
             if name == term.name:
                 return Tree((Sequent(ctx, prop), AXIOM))
         raise UnboundVariable(path, f"variable {term.name} is not bound")
-    if isinstance(term, LamV):
-        body = _var_node(
-            term.body, binders + ((term.name, term.prop),), root_ctx, path + (0,)
-        )
+    if isinstance(term, (Lam, LamV)):
+        if isinstance(term, LamV):
+            binders += ((term.name, term.prop),)
+        body = _sequent_node(term.body, ctx | {term.prop}, binders, path + (0,))
         concl = Imp(term.prop, body.label[0].concl)
         return Tree((Sequent(ctx, concl), IMP_INTRO), (body,))
-    if isinstance(term, PairV):
-        left = _var_node(term.left, binders, root_ctx, path + (0,))
-        right = _var_node(term.right, binders, root_ctx, path + (1,))
+    if isinstance(term, Pair):
+        left = _sequent_node(term.left, ctx, binders, path + (0,))
+        right = _sequent_node(term.right, ctx, binders, path + (1,))
         concl = And(left.label[0].concl, right.label[0].concl)
         return Tree((Sequent(ctx, concl), AND_INTRO), (left, right))
-    if isinstance(term, (FstV, SndV)):
-        body = _var_node(term.body, binders, root_ctx, path + (0,))
+    if isinstance(term, (Fst, Snd)):
+        body = _sequent_node(term.body, ctx, binders, path + (0,))
         got = body.label[0].concl
         if not isinstance(got, And):
-            which = "fst" if isinstance(term, FstV) else "snd"
+            which = "fst" if isinstance(term, Fst) else "snd"
             raise ShapeMismatch(
                 path, f"{which} needs a conjunction, got {print_prop(got)}"
             )
-        if isinstance(term, FstV):
+        if isinstance(term, Fst):
             return Tree((Sequent(ctx, got.left), AND_ELIM1), (body,))
         return Tree((Sequent(ctx, got.right), AND_ELIM2), (body,))
-    raise TypeError(f"not a variable term: {term!r}")
+    raise TypeError(f"not a proof term: {term!r}")
 
 
-def check_var(term: VarTerm, root_ctx: Iterable[Prop] = ()) -> Sequent:
-    """Check a named-variable term and return the sequent it proves."""
-    return var_sequent_tree(term, root_ctx).label[0]
+def check_scheme(term: Term, root_ctx: Iterable[Prop] = ()) -> Sequent:
+    """Check a scheme or named-variable term and return the sequent it proves."""
+    return scheme_sequent_tree(term, root_ctx).label[0]
+
+
+var_sequent_tree, check_var = scheme_sequent_tree, check_scheme
 
 
 # ------------------------------------------------------------------ conversions
@@ -379,11 +331,11 @@ def scheme_to_var(term: SchemeTerm) -> VarTerm:
             body = go(t.body, binders + ((name, t.prop),), path + (0,))
             return LamV(name, t.prop, body)
         if isinstance(t, Pair):
-            return PairV(go(t.left, binders, path + (0,)), go(t.right, binders, path + (1,)))
+            return Pair(go(t.left, binders, path + (0,)), go(t.right, binders, path + (1,)))
         if isinstance(t, Fst):
-            return FstV(go(t.body, binders, path + (0,)))
+            return Fst(go(t.body, binders, path + (0,)))
         if isinstance(t, Snd):
-            return SndV(go(t.body, binders, path + (0,)))
+            return Snd(go(t.body, binders, path + (0,)))
         raise TypeError(f"not a scheme term: {t!r}")
 
     return go(term, (), ())
@@ -400,11 +352,11 @@ def var_to_scheme(term: VarTerm) -> SchemeTerm:
             raise UnboundVariable(path, f"variable {t.name} is not bound")
         if isinstance(t, LamV):
             return Lam(t.prop, go(t.body, binders + ((t.name, t.prop),), path + (0,)))
-        if isinstance(t, PairV):
+        if isinstance(t, Pair):
             return Pair(go(t.left, binders, path + (0,)), go(t.right, binders, path + (1,)))
-        if isinstance(t, FstV):
+        if isinstance(t, Fst):
             return Fst(go(t.body, binders, path + (0,)))
-        if isinstance(t, SndV):
+        if isinstance(t, Snd):
             return Snd(go(t.body, binders, path + (0,)))
         raise TypeError(f"not a variable term: {t!r}")
 
@@ -413,54 +365,62 @@ def var_to_scheme(term: VarTerm) -> SchemeTerm:
 
 # -------------------------------------------------------------------- printing
 
-def print_prop(prop: Prop) -> str:
+# (conjunction, implication, turnstile) in each output syntax
+_TEXT = ("/\\", "=>", "|-")
+_LATEX = ("\\wedge", "\\Rightarrow", "\\vdash")
+
+
+def print_prop(prop: Prop, symbols=_TEXT) -> str:
     """Minimal-parentheses rendering; `/\\` binds tighter than `=>`,
     both associate to the right."""
     if isinstance(prop, Atom):
         return prop.name
+    conj, imp, _ = symbols
+    left = print_prop(prop.left, symbols)
+    right = print_prop(prop.right, symbols)
     if isinstance(prop, And):
-        left = print_prop(prop.left)
         if isinstance(prop.left, (And, Imp)):
             left = f"({left})"
-        right = print_prop(prop.right)
         if isinstance(prop.right, Imp):
             right = f"({right})"
-        return f"{left} /\\ {right}"
-    left = print_prop(prop.left)
+        return f"{left} {conj} {right}"
     if isinstance(prop.left, Imp):
         left = f"({left})"
-    return f"{left} => {print_prop(prop.right)}"
+    return f"{left} {imp} {right}"
+
+
+def _join_context(ctx: Iterable[Prop], symbols=_TEXT) -> str:
+    """The context's propositions, sorted by their rendering in `symbols`."""
+    return ", ".join(sorted(print_prop(p, symbols) for p in ctx))
 
 
 def render_context(ctx: Iterable[Prop]) -> str:
-    return "{" + ", ".join(sorted(print_prop(p) for p in ctx)) + "}"
+    return "{" + _join_context(ctx) + "}"
 
 
-def print_sequent(seq: Sequent) -> str:
-    concl = print_prop(seq.concl)
+def print_sequent(seq: Sequent, symbols=_TEXT) -> str:
+    concl = f"{symbols[2]} {print_prop(seq.concl, symbols)}"
     if not seq.ctx:
-        return f"|- {concl}"
-    ctx = ", ".join(sorted(print_prop(p) for p in seq.ctx))
-    return f"{ctx} |- {concl}"
+        return concl
+    return f"{_join_context(seq.ctx, symbols)} {concl}"
 
 
-def print_term(term: SchemeTerm | VarTerm) -> str:
+def print_term(term: Term) -> str:
     if isinstance(term, Hyp):
         return f"hyp [{print_prop(term.prop)}]"
     if isinstance(term, HypFull):
-        ctx = ", ".join(sorted(print_prop(p) for p in term.ctx))
-        return f"axiom {{{ctx} | {print_prop(term.prop)}}}"
+        return f"axiom {{{_join_context(term.ctx)} | {print_prop(term.prop)}}}"
     if isinstance(term, Lam):
         return f"fun [{print_prop(term.prop)}] {print_term(term.body)}"
     if isinstance(term, Var):
         return term.name
     if isinstance(term, LamV):
         return f"fun {term.name} : {print_prop(term.prop)} . {print_term(term.body)}"
-    if isinstance(term, (Pair, PairV)):
+    if isinstance(term, Pair):
         return f"<{print_term(term.left)}, {print_term(term.right)}>"
-    if isinstance(term, (Fst, FstV)):
+    if isinstance(term, Fst):
         return f"fst({print_term(term.body)})"
-    if isinstance(term, (Snd, SndV)):
+    if isinstance(term, Snd):
         return f"snd({print_term(term.body)})"
     raise TypeError(f"not a term: {term!r}")
 
@@ -604,18 +564,14 @@ def _parse_term(cur: _TokenCursor, form: str):
         cur.expect("(", "'('")
         body = _parse_term(cur, form)
         cur.expect(")", "')'")
-        if form == "scheme":
-            return Fst(body) if token[1] == "fst" else Snd(body)
-        return FstV(body) if token[1] == "fst" else SndV(body)
+        return Fst(body) if token[1] == "fst" else Snd(body)
     if token[0] == "<":
         cur.next()
         left = _parse_term(cur, form)
         cur.expect(",", "','")
         right = _parse_term(cur, form)
         cur.expect(">", "'>'")
-        if form == "scheme":
-            return Pair(left, right)
-        return PairV(left, right)
+        return Pair(left, right)
     if token[0] == "(":
         cur.next()
         term = _parse_term(cur, form)
@@ -724,22 +680,8 @@ def print_sequent_deriv(tree: Tree) -> str:
 # ----------------------------------------------------------------------- latex
 
 def prop_to_latex(prop: Prop) -> str:
-    if isinstance(prop, Atom):
-        return prop.name
-    if isinstance(prop, And):
-        left = prop_to_latex(prop.left)
-        if isinstance(prop.left, (And, Imp)):
-            left = f"({left})"
-        right = prop_to_latex(prop.right)
-        if isinstance(prop.right, Imp):
-            right = f"({right})"
-        return f"{left} \\wedge {right}"
-    left = prop_to_latex(prop.left)
-    if isinstance(prop.left, Imp):
-        left = f"({left})"
-    return f"{left} \\Rightarrow {prop_to_latex(prop.right)}"
+    return print_prop(prop, _LATEX)
 
 
 def sequent_to_latex(seq: Sequent) -> str:
-    ctx = ", ".join(sorted(prop_to_latex(p) for p in seq.ctx))
-    return f"{ctx} \\vdash {prop_to_latex(seq.concl)}".lstrip()
+    return print_sequent(seq, _LATEX)

@@ -22,7 +22,7 @@ from math import isqrt
 from typing import Union
 
 from .errors import ArityMismatch, ParseError, Rejected, format_path
-from .trees import Tree
+from .trees import Tree, _skip_ws
 
 
 class IllFormed(Rejected):
@@ -146,25 +146,17 @@ class _Budget:
 
 
 def evaluate(
-    program: Program,
-    args: tuple[int, ...] | list[int],
-    fuel: int,
-    *,
-    mu_convention: str = "last",
+    program: Program, args: tuple[int, ...] | list[int], fuel: int
 ) -> int | None:
     """Run a program on natural-number arguments under a fuel budget.
 
     One unit of fuel is charged for entering a composition, for each
     recursion unfolding, and for each minimization probe; the base
     functions are free.  Returns the value, or None when the budget is
-    exhausted first.  `mu_convention` selects where the search variable
-    of `mu` goes: appended after the arguments ("last", the default) or
-    prepended before them ("first").
+    exhausted first.
     """
     if fuel < 1:
         raise ValueError("fuel must be positive")
-    if mu_convention not in ("last", "first"):
-        raise ValueError(f"unknown mu convention {mu_convention!r}")
     arity = arity_of(program)
     args = tuple(args)
     if len(args) != arity:
@@ -175,12 +167,12 @@ def evaluate(
         raise ValueError("arguments must be natural numbers")
     budget = _Budget(fuel)
     try:
-        return _eval(program, args, budget, mu_convention == "last")
+        return _eval(program, args, budget)
     except _Exhausted:
         return None
 
 
-def _eval(program: Program, args: tuple[int, ...], budget: _Budget, mu_last: bool) -> int:
+def _eval(program: Program, args: tuple[int, ...], budget: _Budget) -> int:
     if isinstance(program, Zero):
         return 0
     if isinstance(program, Succ):
@@ -189,23 +181,22 @@ def _eval(program: Program, args: tuple[int, ...], budget: _Budget, mu_last: boo
         return args[program.index - 1]
     if isinstance(program, Comp):
         budget.spend()
-        values = tuple(_eval(g, args, budget, mu_last) for g in program.inner)
-        return _eval(program.outer, values, budget, mu_last)
+        values = tuple(_eval(g, args, budget) for g in program.inner)
+        return _eval(program.outer, values, budget)
     if isinstance(program, Rec):
         budget.spend()
         count, rest = args[0], args[1:]
-        acc = _eval(program.base, rest, budget, mu_last)
+        acc = _eval(program.base, rest, budget)
         for j in range(count):
             budget.spend()
-            acc = _eval(program.step, (j, acc) + rest, budget, mu_last)
+            acc = _eval(program.step, (j, acc) + rest, budget)
         return acc
     if isinstance(program, Mu):
         budget.spend()
         y = 0
         while True:
             budget.spend()
-            probe = args + (y,) if mu_last else (y,) + args
-            if _eval(program.body, probe, budget, mu_last) == 0:
+            if _eval(program.body, args + (y,), budget) == 0:
                 return y
             y += 1
     raise TypeError(f"not a program: {program!r}")
@@ -344,12 +335,6 @@ def parse_program(text: str) -> Program:
     if pos != len(text):
         raise ParseError("unexpected trailing input", pos)
     return program
-
-
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
 
 
 def _read_int(text: str, pos: int) -> tuple[int, int]:

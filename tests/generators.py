@@ -33,7 +33,7 @@ def system(rng: random.Random) -> RuleSystem:
                 if rng.random() < 0.35:
                     table[args] = rng.randrange(8)
             rules.append(Rule(f"r{i}", arity, lambda *args, table=table: table.get(args)))
-    return RuleSystem(tuple(rules), domain="numbers 0..7")
+    return RuleSystem(tuple(rules))
 
 
 WIDE_DOMAIN = range(12)

@@ -177,6 +177,14 @@ def test_check_full_tree():
     assert info.value.path == ()
     assert "yields 2" in str(info.value)
 
+    # failures are reported in preorder: the root before its failing child
+    with pytest.raises(Rejected) as info:
+        check_full_tree(EVEN, Tree((5, "f2"), (Tree((1, "f2"), (Tree((0, "f1")),)),)))
+    assert info.value.path == ()
+    with pytest.raises(UnknownRuleName) as info:
+        check_full_tree(EVEN, Tree((0, "g"), (Tree((0, "f2")),)))
+    assert info.value.path == ()
+
 
 def test_infer_runs_trees_bottom_up():
     names = parse_name_tree("f2(f2(f2(f1)))")

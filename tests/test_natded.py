@@ -362,6 +362,68 @@ def test_conversion_preserves_the_proved_sequent(seed):
     assert nd.check_var(renamed) == nd.check_var(also_named)
 
 
+def _var_paths(term, path=()):
+    """The paths of a var term's variable occurrences, in preorder."""
+    if isinstance(term, nd.Var):
+        return [path]
+    if isinstance(term, nd.PairV):
+        return _var_paths(term.left, path + (0,)) + _var_paths(term.right, path + (1,))
+    return _var_paths(term.body, path + (0,))
+
+
+def _unbind_at(term, path):
+    """`term` with the variable at `path` renamed to a name no generated binder uses."""
+    if not path:
+        return nd.Var("w")
+    if isinstance(term, nd.LamV):
+        return nd.LamV(term.name, term.prop, _unbind_at(term.body, path[1:]))
+    if isinstance(term, nd.PairV):
+        if path[0] == 0:
+            return nd.PairV(_unbind_at(term.left, path[1:]), term.right)
+        return nd.PairV(term.left, _unbind_at(term.right, path[1:]))
+    return type(term)(_unbind_at(term.body, path[1:]))
+
+
+def _outcome(check, term):
+    try:
+        return check(term)
+    except Rejected as err:
+        return type(err), err.path
+
+
+@given(_seeds)
+def test_var_check_matches_scheme_check_of_the_erasure(seed):
+    rng = random.Random(seed)
+    term = generators.var_term(rng)
+    path = rng.choice(_var_paths(term))
+    broken = _unbind_at(term, path)
+
+    def erased(t):
+        return nd.scheme_sequent_tree(nd.var_to_scheme(t))
+
+    assert _outcome(nd.var_sequent_tree, term) == _outcome(erased, term)
+    assert _outcome(nd.var_sequent_tree, broken) == (nd.UnboundVariable, path)
+    assert _outcome(erased, broken) == (nd.UnboundVariable, path)
+
+
+def test_one_walk_checks_both_term_forms():
+    # a named binder over a scheme hypothesis: both binders extend the context
+    mixed = nd.LamV("x", P, nd.Hyp(P))
+    assert nd.check_scheme(mixed) == nd.Sequent(frozenset(), nd.Imp(P, P))
+    assert nd.PairV(nd.Var("x"), nd.Var("y")) == nd.Pair(nd.Var("x"), nd.Var("y"))
+    with pytest.raises(TypeError):
+        nd.check_var("x")
+
+
+def test_var_check_reports_the_first_error_in_preorder():
+    # the shape error at (0,) comes before the unbound y at (1,); erasing
+    # the names first would report y
+    term = nd.PairV(nd.FstV(nd.LamV("x", P, nd.Var("x"))), nd.Var("y"))
+    with pytest.raises(nd.ShapeMismatch) as info:
+        nd.check_var(term)
+    assert info.value.path == (0,)
+
+
 @given(_seeds)
 def test_weakening_for_plain_hypothesis_terms(seed):
     rng = random.Random(seed)
@@ -389,3 +451,7 @@ def test_latex_rendering():
     assert nd.prop_to_latex(SWAP_SEQ.concl) == "P \\wedge Q \\Rightarrow Q \\wedge P"
     assert nd.sequent_to_latex(nd.Sequent(frozenset({P}), Q)) == "P \\vdash Q"
     assert nd.sequent_to_latex(SWAP_SEQ) == "\\vdash P \\wedge Q \\Rightarrow Q \\wedge P"
+    # each syntax sorts the context by its own rendering
+    mixed = nd.Sequent(frozenset({PQ, nd.Imp(P, Q)}), P)
+    assert nd.print_sequent(mixed) == "P /\\ Q, P => Q |- P"
+    assert nd.sequent_to_latex(mixed) == "P \\Rightarrow Q, P \\wedge Q \\vdash P"

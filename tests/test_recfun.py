@@ -107,12 +107,8 @@ def test_fuel_accounting_is_exact():
 
 
 def test_mu_convention_switch():
-    # by default the search variable is appended last, so the body sees x first
+    # the search variable is appended last, so the body sees x first
     assert rf.evaluate(SEARCH, (3,), 100) is None
-    # prepended first, the body projects the search variable itself
-    assert rf.evaluate(SEARCH, (3,), 100, mu_convention="first") == 0
-    with pytest.raises(ValueError):
-        rf.evaluate(SEARCH, (3,), 100, mu_convention="middle")
 
 
 _seeds = st.integers(min_value=0, max_value=2**32 - 1)
