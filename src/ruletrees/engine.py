@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable
 
 from .errors import ArityMismatch, Rejected, ResourceLimit
-from .trees import Tree
+from .trees import NAME_RE, Tree
 
 Element = Any
 
@@ -40,10 +40,6 @@ class RuleUndefined(Rejected):
     """A rule was applied at arguments where it is undefined."""
 
 
-def _valid_name(name: str) -> bool:
-    return bool(name) and all(ch not in "()," and not ch.isspace() for ch in name)
-
-
 @dataclass(frozen=True)
 class Rule:
     """A named partial function of fixed arity.
@@ -57,7 +53,7 @@ class Rule:
     fn: Callable[..., Element | None]
 
     def __post_init__(self):
-        if not _valid_name(self.name):
+        if not NAME_RE.fullmatch(self.name):
             raise ValueError(f"invalid rule name {self.name!r}")
         if self.arity < 0:
             raise ValueError(f"rule {self.name}: arity must be nonnegative")

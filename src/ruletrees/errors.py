@@ -16,12 +16,15 @@ def format_path(path: tuple[int, ...]) -> str:
 class ParseError(ValueError):
     """A linear form or a file failed to parse.
 
-    `position` is a character offset into the input, except for
-    line-oriented files where it is a line number.
+    `position` is a character offset into the input: where the failing
+    token starts (all linear forms share `trees.tokenize`), or the input's
+    length at its end.  Line-oriented files give a line number instead.
+    `message` is the text without the position.
     """
 
     def __init__(self, message: str, position: int = 0):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 

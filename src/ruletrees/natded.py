@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .errors import ParseError, Rejected
-from .trees import Tree
+from .trees import TokenCursor, Tree, tokenize
 
 
 # ---------------------------------------------------------------- propositions
@@ -428,11 +428,11 @@ def print_term(term: Term) -> str:
 # --------------------------------------------------------------------- parsing
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<and>/\\)
+    r"""(?P<and>/\\)
       | (?P<imp>=>)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<punct>[()\[\]{}<>,|:.])
+      | [()\[\]{}<>,|:.]
+      | (?P<bad>\S)
     """,
     re.VERBOSE,
 )
@@ -440,71 +440,28 @@ _TOKEN_RE = re.compile(
 _RESERVED = {"fun", "hyp", "axiom", "fst", "snd"}
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = match.lastgroup
-        if kind != "ws":
-            value = match.group()
-            tokens.append((kind if kind != "punct" else value, value, pos))
-        pos = match.end()
-    tokens.append(("eof", "", len(text)))
-    return tokens
-
-
-class _TokenCursor:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.index = 0
-
-    def peek(self):
-        return self.tokens[self.index]
-
-    def next(self):
-        token = self.tokens[self.index]
-        if token[0] != "eof":
-            self.index += 1
-        return token
-
-    def expect(self, kind: str, what: str):
-        token = self.peek()
-        if token[0] != kind:
-            raise ParseError(f"expected {what}", token[2])
-        return self.next()
-
-    def at(self, kind: str) -> bool:
-        return self.peek()[0] == kind
-
-
-def _parse_prop(cur: _TokenCursor) -> Prop:
+def _parse_prop(cur: TokenCursor) -> Prop:
     left = _parse_conj(cur)
-    if cur.at("imp"):
-        cur.next()
+    if cur.take("imp"):
         return Imp(left, _parse_prop(cur))
     return left
 
 
-def _parse_conj(cur: _TokenCursor) -> Prop:
+def _parse_conj(cur: TokenCursor) -> Prop:
     left = _parse_prop_atom(cur)
-    if cur.at("and"):
-        cur.next()
+    if cur.take("and"):
         return And(left, _parse_conj(cur))
     return left
 
 
-def _parse_prop_atom(cur: _TokenCursor) -> Prop:
+def _parse_prop_atom(cur: TokenCursor) -> Prop:
     token = cur.peek()
     if token[0] == "ident":
         if token[1] in _RESERVED:
             raise ParseError(f"{token[1]} is reserved", token[2])
         cur.next()
         return Atom(token[1])
-    if token[0] == "(":
-        cur.next()
+    if cur.take("("):
         prop = _parse_prop(cur)
         cur.expect(")", "')'")
         return prop
@@ -512,15 +469,13 @@ def _parse_prop_atom(cur: _TokenCursor) -> Prop:
 
 
 def parse_prop(text: str) -> Prop:
-    cur = _TokenCursor(_tokenize(text))
+    cur = TokenCursor(tokenize(text, _TOKEN_RE))
     prop = _parse_prop(cur)
-    token = cur.peek()
-    if token[0] != "eof":
-        raise ParseError("unexpected trailing input", token[2])
+    cur.end()
     return prop
 
 
-def _parse_term(cur: _TokenCursor, form: str):
+def _parse_term(cur: TokenCursor, form: str):
     token = cur.peek()
     if token[0] == "ident" and token[1] == "fun":
         cur.next()
@@ -552,8 +507,7 @@ def _parse_term(cur: _TokenCursor, form: str):
         ctx = []
         if not cur.at("|"):
             ctx.append(_parse_prop(cur))
-            while cur.at(","):
-                cur.next()
+            while cur.take(","):
                 ctx.append(_parse_prop(cur))
         cur.expect("|", "'|'")
         prop = _parse_prop(cur)
@@ -565,15 +519,13 @@ def _parse_term(cur: _TokenCursor, form: str):
         body = _parse_term(cur, form)
         cur.expect(")", "')'")
         return Fst(body) if token[1] == "fst" else Snd(body)
-    if token[0] == "<":
-        cur.next()
+    if cur.take("<"):
         left = _parse_term(cur, form)
         cur.expect(",", "','")
         right = _parse_term(cur, form)
         cur.expect(">", "'>'")
         return Pair(left, right)
-    if token[0] == "(":
-        cur.next()
+    if cur.take("("):
         term = _parse_term(cur, form)
         cur.expect(")", "')'")
         return term
@@ -589,11 +541,9 @@ def parse_term(text: str, form: str):
     """Parse a proof term; `form` selects the scheme or var syntax."""
     if form not in ("scheme", "var"):
         raise ValueError(f"unknown term form {form!r}")
-    cur = _TokenCursor(_tokenize(text))
+    cur = TokenCursor(tokenize(text, _TOKEN_RE))
     term = _parse_term(cur, form)
-    token = cur.peek()
-    if token[0] != "eof":
-        raise ParseError("unexpected trailing input", token[2])
+    cur.end()
     return term
 
 
@@ -635,7 +585,11 @@ def parse_sequent_deriv(text: str) -> Tree:
         if match:
             tag = match.group(1).strip()
             content = content[: match.start()].rstrip()
-        entries.append((lineno, indent // 2, parse_sequent(content), tag))
+        try:
+            seq = parse_sequent(content)
+        except ParseError as err:
+            raise ParseError(f"line {lineno}: {err.message}", lineno) from None
+        entries.append((lineno, indent // 2, seq, tag))
     if not entries:
         raise ParseError("empty derivation", 0)
     if entries[0][1] != 0:

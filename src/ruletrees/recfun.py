@@ -17,12 +17,13 @@ from the pairing function (a + b)(a + b + 1)/2 + b.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import isqrt
 from typing import Union
 
 from .errors import ArityMismatch, ParseError, Rejected, format_path
-from .trees import Tree, _skip_ws
+from .trees import TokenCursor, Tree, tokenize
 
 
 class IllFormed(Rejected):
@@ -327,75 +328,55 @@ def print_program(program: Program) -> str:
     raise TypeError(f"not a program: {program!r}")
 
 
+_PROGRAM_TOKEN_RE = re.compile(r"(?P<word>[^\s(),;]+)|[(),;]")
+
+_BASE_NAME_RE = re.compile(r"zero\^([0-9]+)|succ|proj\^([0-9]+)_([0-9]+)")
+
+
+def _base_program(name: str) -> Program | None:
+    """The base function `name` spells in the text form, else None."""
+    match = _BASE_NAME_RE.fullmatch(name)
+    if match is None:
+        return None
+    zero_arity, proj_arity, index = match.groups()
+    if zero_arity is not None:
+        return Zero(int(zero_arity))
+    if proj_arity is not None:
+        return Proj(int(proj_arity), int(index))
+    return Succ()
+
+
 def parse_program(text: str) -> Program:
     """Parse the linear form.  Structure only: arity violations are left
     to `arity_of`."""
-    program, pos = _parse_prog(text, _skip_ws(text, 0))
-    pos = _skip_ws(text, pos)
-    if pos != len(text):
-        raise ParseError("unexpected trailing input", pos)
+    cur = TokenCursor(tokenize(text, _PROGRAM_TOKEN_RE))
+    program = _parse_prog(cur)
+    cur.end()
     return program
 
 
-def _read_int(text: str, pos: int) -> tuple[int, int]:
-    start = pos
-    while pos < len(text) and text[pos].isdigit():
-        pos += 1
-    if pos == start:
-        raise ParseError("expected a number", start)
-    return int(text[start:pos]), pos
-
-
-def _expect_char(text: str, pos: int, ch: str) -> int:
-    if pos >= len(text) or text[pos] != ch:
-        raise ParseError(f"expected {ch!r}", pos)
-    return pos + 1
-
-
-def _parse_prog(text: str, pos: int) -> tuple[Program, int]:
-    start = pos
-    while pos < len(text) and text[pos].isalpha():
-        pos += 1
-    head = text[start:pos]
-    if head == "zero":
-        pos = _expect_char(text, pos, "^")
-        arity, pos = _read_int(text, pos)
-        return Zero(arity), pos
-    if head == "succ":
-        return Succ(), pos
-    if head == "proj":
-        pos = _expect_char(text, pos, "^")
-        arity, pos = _read_int(text, pos)
-        pos = _expect_char(text, pos, "_")
-        index, pos = _read_int(text, pos)
-        return Proj(arity, index), pos
-    if head == "comp":
-        pos = _skip_ws(text, _expect_char(text, _skip_ws(text, pos), "("))
-        outer, pos = _parse_prog(text, pos)
-        pos = _skip_ws(text, _expect_char(text, _skip_ws(text, pos), ";"))
-        inner = []
-        while True:
-            g, pos = _parse_prog(text, pos)
-            inner.append(g)
-            pos = _skip_ws(text, pos)
-            if pos < len(text) and text[pos] == ",":
-                pos = _skip_ws(text, pos + 1)
-                continue
-            pos = _expect_char(text, pos, ")")
-            return Comp(outer, tuple(inner)), pos
-    if head == "rec":
-        pos = _skip_ws(text, _expect_char(text, _skip_ws(text, pos), "("))
-        base, pos = _parse_prog(text, pos)
-        pos = _skip_ws(text, _expect_char(text, _skip_ws(text, pos), ","))
-        step, pos = _parse_prog(text, pos)
-        pos = _expect_char(text, _skip_ws(text, pos), ")")
-        return Rec(base, step), pos
-    if head == "mu":
-        pos = _skip_ws(text, _expect_char(text, _skip_ws(text, pos), "("))
-        body, pos = _parse_prog(text, pos)
-        pos = _expect_char(text, _skip_ws(text, pos), ")")
-        return Mu(body), pos
-    raise ParseError("expected zero, succ, proj, comp, rec, or mu", start)
+def _parse_prog(cur: TokenCursor) -> Program:
+    _, word, pos = cur.next()
+    program = _base_program(word)
+    if program is not None:
+        return program
+    if word not in ("comp", "rec", "mu"):
+        raise ParseError("expected zero^N, succ, proj^N_I, comp, rec, or mu", pos)
+    cur.expect("(", "'('")
+    first = _parse_prog(cur)
+    if word == "comp":
+        cur.expect(";", "';'")
+        inner = [_parse_prog(cur)]
+        while cur.take(","):
+            inner.append(_parse_prog(cur))
+        program = Comp(first, tuple(inner))
+    elif word == "rec":
+        cur.expect(",", "','")
+        program = Rec(first, _parse_prog(cur))
+    else:
+        program = Mu(first)
+    cur.expect(")", "')'")
+    return program
 
 
 # ----------------------------------------------- bridge to name-labeled trees
@@ -425,25 +406,11 @@ def name_tree_to_program(tree: Tree, _path: tuple[int, ...] = ()) -> Program:
     counts that fit no constructor."""
     name = tree.label
     kids = tree.children
-    if name == "succ":
+    program = _base_program(name)
+    if program is not None:
         if kids:
-            raise IllFormed(_path, "succ takes no children")
-        return Succ()
-    if name.startswith("zero^"):
-        if kids:
-            raise IllFormed(_path, "zero takes no children")
-        try:
-            return Zero(int(name[5:]))
-        except ValueError:
-            raise IllFormed(_path, f"bad name {name}") from None
-    if name.startswith("proj^"):
-        if kids:
-            raise IllFormed(_path, "proj takes no children")
-        try:
-            arity_text, index_text = name[5:].split("_", 1)
-            return Proj(int(arity_text), int(index_text))
-        except ValueError:
-            raise IllFormed(_path, f"bad name {name}") from None
+            raise IllFormed(_path, f"{name.partition('^')[0]} takes no children")
+        return program
     if name == "comp":
         if len(kids) < 2:
             raise IllFormed(_path, "comp takes an outer and at least one inner child")

@@ -9,10 +9,14 @@ a concrete syntax:
 where NAME is any nonempty run of characters other than parentheses,
 commas, and whitespace.  A nullary node may be written `f1` or `f1()`;
 the printer always emits the bare form.
+
+`tokenize` and `TokenCursor` serve all three linear forms (name trees,
+natded's proof terms, recfun's programs) with one token regex each.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
@@ -46,52 +50,88 @@ class Tree:
                 stack.append((path + (i,), node.children[i]))
 
 
-_NAME_STOP = set("(),")
+def tokenize(text: str, token_re: re.Pattern) -> list[tuple[str, str, int]]:
+    """Split `text` into (kind, value, position) tokens and a last eof token.
+
+    Named groups of `token_re` are token kinds; an alternative outside them
+    is punctuation, its text its own kind.  Whitespace that no alternative
+    matches is skipped, and a last `(?P<bad>\\S)` group reports any other
+    character.
+    """
+    tokens = [(m.lastgroup or m[0], m[0], m.start()) for m in token_re.finditer(text)]
+    for kind, value, pos in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", pos)
+    tokens.append(("eof", "", len(text)))
+    return tokens
 
 
-def _is_name_char(ch: str) -> bool:
-    return ch not in _NAME_STOP and not ch.isspace()
+class TokenCursor:
+    """Reads a `tokenize` list front to back; `next` stays on the eof token."""
+
+    __slots__ = ("tokens", "index")
+
+    def __init__(self, tokens: list[tuple[str, str, int]]):
+        self.tokens = tokens
+        self.index = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.index]
+
+    def next(self) -> tuple[str, str, int]:
+        token = self.tokens[self.index]
+        if token[0] != "eof":
+            self.index += 1
+        return token
+
+    def at(self, kind: str) -> bool:
+        return self.tokens[self.index][0] == kind
+
+    def take(self, kind: str) -> bool:
+        """Step over the next token if it has `kind`; say whether it did."""
+        if self.tokens[self.index][0] == kind:
+            self.index += 1
+            return True
+        return False
+
+    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
+        token = self.tokens[self.index]
+        if token[0] != kind:
+            raise ParseError(f"expected {what}", token[2])
+        self.index += 1
+        return token
+
+    def end(self) -> None:
+        token = self.tokens[self.index]
+        if token[0] != "eof":
+            raise ParseError("unexpected trailing input", token[2])
+
+
+NAME_RE = re.compile(r"[^\s(),]+")
+"""A rule name: what the linear form reads as one NAME."""
+
+_NAME_TOKEN_RE = re.compile(rf"(?P<name>{NAME_RE.pattern})|[(),]")
 
 
 def parse_name_tree(text: str) -> Tree:
     """Parse the linear form into a tree with string labels."""
-    tree, pos = _parse_node(text, _skip_ws(text, 0))
-    pos = _skip_ws(text, pos)
-    if pos != len(text):
-        raise ParseError("unexpected trailing input", pos)
+    cur = TokenCursor(tokenize(text, _NAME_TOKEN_RE))
+    tree = _parse_node(cur)
+    cur.end()
     return tree
 
 
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _parse_node(text: str, pos: int) -> tuple[Tree, int]:
-    start = pos
-    while pos < len(text) and _is_name_char(text[pos]):
-        pos += 1
-    if pos == start:
-        raise ParseError("expected a rule name", pos)
-    name = text[start:pos]
-    pos = _skip_ws(text, pos)
-    if pos >= len(text) or text[pos] != "(":
-        return Tree(name), pos
-    pos = _skip_ws(text, pos + 1)
-    if pos < len(text) and text[pos] == ")":
-        return Tree(name), pos + 1
-    children = []
-    while True:
-        child, pos = _parse_node(text, pos)
-        children.append(child)
-        pos = _skip_ws(text, pos)
-        if pos < len(text) and text[pos] == ",":
-            pos = _skip_ws(text, pos + 1)
-            continue
-        if pos < len(text) and text[pos] == ")":
-            return Tree(name, tuple(children)), pos + 1
-        raise ParseError("expected ',' or ')'", pos)
+def _parse_node(cur: TokenCursor) -> Tree:
+    name = cur.expect("name", "a rule name")[1]
+    if not cur.take("("):
+        return Tree(name)
+    if cur.take(")"):
+        return Tree(name)
+    children = [_parse_node(cur)]
+    while cur.take(","):
+        children.append(_parse_node(cur))
+    cur.expect(")", "',' or ')'")
+    return Tree(name, tuple(children))
 
 
 def print_name_tree(tree: Tree) -> str:

@@ -278,6 +278,16 @@ def test_parse_term_form_errors():
         nd.parse_term("x", "tree")
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("hyp [P", 6), ("fst hyp [P]", 4), ("fun [P] <hyp [P], >", 18)],
+)
+def test_parse_term_errors_carry_positions(text, position):
+    with pytest.raises(ParseError) as info:
+        nd.parse_term(text, "scheme")
+    assert info.value.position == position
+
+
 def test_print_term():
     assert nd.print_term(SWAP) == SWAP_TEXT
     assert nd.print_term(SWAP_VAR) == "fun x1 : P /\\ Q . <snd(x1), fst(x1)>"
@@ -322,6 +332,20 @@ def test_parse_sequent_deriv_errors():
         nd.parse_sequent_deriv("|- P => P\n    P |- P")
     with pytest.raises(ParseError):
         nd.parse_sequent_deriv("|- P => P\n|- Q => Q")
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("|- P => P\n  P |- P\n  P |- P ^ Q", 3, "unexpected character '^'"),
+        ("|- P => P\n  P, P\n", 2, "a sequent needs exactly one |-"),
+    ],
+)
+def test_sequent_deriv_errors_name_their_line(text, line, message):
+    with pytest.raises(ParseError) as info:
+        nd.parse_sequent_deriv(text)
+    assert info.value.message == f"line {line}: {message}"
+    assert info.value.position == line
 
 
 # ------------------------------------------------------------------ properties

@@ -275,11 +275,21 @@ def test_parse_program():
 @pytest.mark.parametrize(
     "text",
     ["", "zro", "zero", "proj^2", "comp(succ)", "comp(succ; )", "succ x",
-     "mu(succ", "rec(succ)"],
+     "mu(succ", "rec(succ)", "zero^\u00b2", "zero^\u0663"],
 )
 def test_parse_program_errors(text):
     with pytest.raises(ParseError):
         rf.parse_program(text)
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("comp(succ succ)", 10), ("rec(succ; succ)", 8), ("mu(succ", 7)],
+)
+def test_parse_program_errors_carry_positions(text, position):
+    with pytest.raises(ParseError) as info:
+        rf.parse_program(text)
+    assert info.value.position == position
 
 
 @given(_seeds)
@@ -317,9 +327,20 @@ def test_name_tree_round_trip(seed):
         (Tree("comp", (Tree("succ"),)), ()),
         (Tree("rec", (Tree("succ"),)), ()),
         (Tree("mu", (Tree("frob"),)), (0,)),
+        (Tree("zero^3_0"), ()),
+        (Tree("proj^2_1_0"), ()),
+        (Tree("zero^+1"), ()),
+        (Tree("zero^-1"), ()),
     ],
 )
 def test_name_trees_that_fit_no_constructor(tree, path):
     with pytest.raises(rf.IllFormed) as info:
         rf.name_tree_to_program(tree)
     assert info.value.path == path
+
+
+@pytest.mark.parametrize("name, head", [("zero^2", "zero"), ("succ", "succ"), ("proj^2_1", "proj")])
+def test_base_functions_take_no_children(name, head):
+    with pytest.raises(rf.IllFormed) as info:
+        rf.name_tree_to_program(Tree(name, (Tree("succ"),)))
+    assert info.value.reason == f"{head} takes no children"

@@ -1,9 +1,11 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ruletrees.errors import ParseError, format_path
-from ruletrees.trees import Tree, parse_name_tree, print_name_tree, tree_to_latex
+from ruletrees.trees import Tree, parse_name_tree, print_name_tree, tokenize, tree_to_latex
 
 CHAIN = Tree("f2", (Tree("f2", (Tree("f1"),)),))
 
@@ -62,6 +64,17 @@ def test_parse_errors_carry_positions(text, position):
     with pytest.raises(ParseError) as info:
         parse_name_tree(text)
     assert info.value.position == position
+
+
+def test_tokenize_skips_spaces_and_reports_stray_characters():
+    token_re = re.compile(r"(?P<word>[a-z]+)|[(),]|(?P<bad>\S)")
+    assert tokenize(" f (a)\t", token_re) == [
+        ("word", "f", 1), ("(", "(", 3), ("word", "a", 4), (")", ")", 5), ("eof", "", 7),
+    ]
+    with pytest.raises(ParseError) as info:
+        tokenize("f(a) ?", token_re)
+    assert info.value.message == "unexpected character '?'"
+    assert info.value.position == 5
 
 
 _names = st.from_regex(r"[a-z][a-z0-9_^]{0,3}", fullmatch=True)
