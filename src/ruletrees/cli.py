@@ -1,9 +1,18 @@
 """Command-line front end.
 
-Exit codes follow the verdict: 0 for accepted / value / recognized,
-1 for rejected / diverged / not recognized, 2 for usage and syntax
-errors.  Any argument of the form @FILE is replaced by that file's
-contents.
+Any argument of the form @FILE is replaced by that file's contents.
+Each outcome prints one message on one stream and exits with one code:
+
+    verdict: accepted, value, recognized                   stdout  0
+    verdict: diverged, not found, not recognized           stdout  1
+      (`nfa derivations` without runs prints nothing)
+    rejected at ..., ill-formed at ..., decode error: ...  stdout  1
+    ResourceLimit's message                                stderr  1
+    syntax error: ..., usage, @FILE or file errors,        stderr  2
+      unknown state or letter, eval arity, diagonal oracle
+
+`run` decides every failure except eval arity and diagonal oracle errors,
+which their two handlers own.
 """
 
 from __future__ import annotations
@@ -13,14 +22,13 @@ import re
 import sys
 
 from .errors import ArityMismatch, ParseError, Rejected, ResourceLimit, format_path
-from .trees import LATEX_PREAMBLE, Tree, parse_name_tree, print_name_tree, tree_to_latex
+from .trees import LATEX_PREAMBLE, parse_name_tree, print_name_tree, tree_to_latex
 from . import engine
 from .engine import even_numbers, render_element, render_set
 from . import natded
 from . import recfun
 from .recfun import DecodeError, IllFormed
 from . import automata
-from .automata import UnknownLetter, UnknownState
 
 
 def read_arg(text: str) -> str:
@@ -44,20 +52,22 @@ def _positive(text: str) -> int:
     return value
 
 
-def _latex_name(name: str) -> str:
+def _full_label_latex(label) -> tuple[str, str]:
+    """LaTeX (conclusion, rule name) of an (element, rule name) label:
+    a trailing number becomes a subscript, and eps becomes epsilon."""
+    element, name = label
     match = re.fullmatch(r"(.*?)(\d+)", name)
     base, sub = (match.group(1), match.group(2)) if match else (name, None)
     if base == "eps":
         base = "\\varepsilon"
-    return f"{base}_{{{sub}}}" if sub else base
+    return render_element(element), (f"{base}_{{{sub}}}" if sub else base)
 
 
-def _full_tree_latex(tree: Tree) -> str:
-    """The `$$\\irule...$$` line for an (element, rule name) tree."""
-    body = tree_to_latex(
-        tree, lambda label: (render_element(label[0]), _latex_name(label[1]))
-    )
-    return f"$${body}$$"
+def _print_latex(trees, label_parts=_full_label_latex) -> None:
+    """Print the `\\irule` preamble, then one `$$\\irule...$$` line per tree."""
+    print(LATEX_PREAMBLE)
+    for tree in trees:
+        print(f"$${tree_to_latex(tree, label_parts)}$$")
 
 
 def _load_nfa(path: str) -> automata.Nfa:
@@ -83,10 +93,8 @@ def _print_verdict(result: int | None, fuel: int) -> int:
 # ------------------------------------------------------------------- handlers
 
 def cmd_even_iterate(args) -> int:
-    elements, fixed_at = engine.iterate(even_numbers(), args.steps)
+    elements, _ = engine.iterate(even_numbers(), args.steps)
     print(render_set(elements))
-    if fixed_at is not None:
-        print(f"fixed point reached at step {fixed_at}")
     return 0
 
 
@@ -96,8 +104,7 @@ def cmd_even_member(args) -> int:
         print(f"not found within depth {args.depth}")
         return 1
     if args.latex:
-        print(LATEX_PREAMBLE)
-        print(_full_tree_latex(witness))
+        _print_latex([witness])
     else:
         print(print_name_tree(engine.erase_elements(witness)))
     return 0
@@ -108,8 +115,7 @@ def cmd_infer(args) -> int:
     tree = parse_name_tree(read_arg(args.tree))
     full = engine.infer_full_tree(system, tree)
     if args.latex:
-        print(LATEX_PREAMBLE)
-        print(_full_tree_latex(full))
+        _print_latex([full])
     else:
         print(render_element(full.label[0]))
     return 0
@@ -117,30 +123,18 @@ def cmd_infer(args) -> int:
 
 def cmd_natded_check(args) -> int:
     text = read_arg(args.term)
+    # both forms label their nodes (Sequent, rule name or None)
     if args.form == "sequent":
-        deriv = natded.parse_sequent_deriv(text)
-        natded.check_sequent_deriv(deriv)
-        root = natded.split_label(deriv.label)[0]
-        tree = deriv
+        tree = natded.parse_sequent_deriv(text)
+        natded.check_sequent_deriv(tree)
     else:
-        term = natded.parse_term(text, args.form)
-        if args.form == "scheme":
-            tree = natded.scheme_sequent_tree(term)
-        else:
-            tree = natded.var_sequent_tree(term)
-        root = tree.label[0]
+        tree = natded.scheme_sequent_tree(natded.parse_term(text, args.form))
     if args.latex:
-        print(LATEX_PREAMBLE)
-        body = tree_to_latex(
-            tree,
-            lambda label: (
-                natded.sequent_to_latex(natded.split_label(label)[0]),
-                natded.split_label(label)[1] or "",
-            ),
+        _print_latex(
+            [tree], lambda label: (natded.sequent_to_latex(label[0]), label[1] or "")
         )
-        print(f"$${body}$$")
     else:
-        print(natded.print_sequent(root))
+        print(natded.print_sequent(tree.label[0]))
     return 0
 
 
@@ -159,9 +153,6 @@ def cmd_recfun_eval(args) -> int:
     program = recfun.parse_program(read_arg(args.program))
     try:
         result = recfun.evaluate(program, args.args, args.fuel)
-    except IllFormed as err:
-        print(f"ill-formed at {format_path(err.path)}")
-        return 1
     except ArityMismatch as err:
         print(err.reason, file=sys.stderr)
         return 2
@@ -170,20 +161,12 @@ def cmd_recfun_eval(args) -> int:
 
 def cmd_recfun_godel(args) -> int:
     program = recfun.parse_program(read_arg(args.program))
-    try:
-        print(recfun.godel(program))
-    except IllFormed as err:
-        print(f"ill-formed at {format_path(err.path)}")
-        return 1
+    print(recfun.godel(program))
     return 0
 
 
 def cmd_recfun_ungodel(args) -> int:
-    try:
-        print(recfun.print_program(recfun.ungodel(args.code)))
-    except DecodeError as err:
-        print(f"decode error: {err}")
-        return 1
+    print(recfun.print_program(recfun.ungodel(args.code)))
     return 0
 
 
@@ -214,10 +197,8 @@ def cmd_nfa_derivations(args) -> int:
     nfa = _load_nfa(args.file)
     derivs = automata.derivations_of(nfa, args.state, automata.parse_word(args.word))
     if args.latex and derivs:
-        print(LATEX_PREAMBLE)
         system = automata.compile_nfa(nfa).system
-        for deriv in derivs:
-            print(_full_tree_latex(engine.infer_full_tree(system, deriv)))
+        _print_latex(engine.infer_full_tree(system, deriv) for deriv in derivs)
     else:
         for deriv in derivs:
             print(print_name_tree(deriv))
@@ -230,8 +211,7 @@ def cmd_nfa_rules(args) -> int:
         print(f"{name}: {premise} -> {conclusion}")
     for name, state in compiled.finals:
         print(f"{name}: () -> {state}")
-    for name in compiled.erasure:
-        letter = compiled.erasure[name]
+    for name, letter in compiled.erasure.items():
         print(f"erase {name} = " + (letter if letter else '""'))
     return 0
 
@@ -336,19 +316,16 @@ def run(argv=None) -> int:
     except DecodeError as err:
         print(f"decode error: {err}")
         return 1
+    except IllFormed as err:
+        print(f"ill-formed at {format_path(err.path)}")
+        return 1
     except Rejected as err:
         print(f"rejected {err}")
         return 1
-    except (UnknownState, UnknownLetter) as err:
-        print(str(err), file=sys.stderr)
-        return 2
     except ResourceLimit as err:
         print(str(err), file=sys.stderr)
         return 1
-    except OSError as err:
-        print(str(err), file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         print(str(err), file=sys.stderr)
         return 2
 

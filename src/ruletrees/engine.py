@@ -96,10 +96,6 @@ def render_set(elements: Iterable[Element]) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
-def _sorted_pool(elements: Iterable[Element]) -> list:
-    return sorted(elements, key=render_element)
-
-
 def step(
     system: RuleSystem,
     pool: Iterable[Element],
@@ -107,7 +103,7 @@ def step(
     max_size: int = DEFAULT_MAX_SET_SIZE,
 ) -> frozenset:
     """One layer of the closure: every defined rule application over `pool`."""
-    pool = _sorted_pool(set(pool))
+    pool = sorted(set(pool), key=render_element)
     out: set = set()
     for rule in system.rules:
         for args in itertools.product(pool, repeat=rule.arity):

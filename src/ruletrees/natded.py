@@ -491,17 +491,15 @@ def _parse_term(cur: TokenCursor, form: str):
         prop = _parse_prop(cur)
         cur.expect(".", "'.'")
         return LamV(name[1], prop, _parse_term(cur, form))
+    if token[0] == "ident" and token[1] in ("hyp", "axiom") and form != "scheme":
+        raise ParseError(f"{token[1]} occurs only in scheme terms", token[2])
     if token[0] == "ident" and token[1] == "hyp":
-        if form != "scheme":
-            raise ParseError("hyp occurs only in scheme terms", token[2])
         cur.next()
         cur.expect("[", "'['")
         prop = _parse_prop(cur)
         cur.expect("]", "']'")
         return Hyp(prop)
     if token[0] == "ident" and token[1] == "axiom":
-        if form != "scheme":
-            raise ParseError("axiom occurs only in scheme terms", token[2])
         cur.next()
         cur.expect("{", "'{'")
         ctx = []
@@ -619,15 +617,10 @@ def parse_sequent_deriv(text: str) -> Tree:
 
 def print_sequent_deriv(tree: Tree) -> str:
     lines = []
-
-    def emit(node: Tree, level: int):
+    for path, node in tree.nodes():
         seq, tag = split_label(node.label)
         suffix = f"  [{tag}]" if tag is not None else ""
-        lines.append("  " * level + print_sequent(seq) + suffix)
-        for child in node.children:
-            emit(child, level + 1)
-
-    emit(tree, 0)
+        lines.append("  " * len(path) + print_sequent(seq) + suffix)
     return "\n".join(lines)
 
 

@@ -123,9 +123,7 @@ def parse_name_tree(text: str) -> Tree:
 
 def _parse_node(cur: TokenCursor) -> Tree:
     name = cur.expect("name", "a rule name")[1]
-    if not cur.take("("):
-        return Tree(name)
-    if cur.take(")"):
+    if not cur.take("(") or cur.take(")"):
         return Tree(name)
     children = [_parse_node(cur)]
     while cur.take(","):

@@ -71,6 +71,11 @@ def test_nfa_validation():
             frozenset({("s", "a", "s")}),
             frozenset(),
         )
+    # a transition whose source, or whose target, is undeclared
+    with pytest.raises(ValueError, match="source t is not declared"):
+        Nfa(frozenset({"s"}), frozenset({"a"}), frozenset({("t", "a", "s")}), frozenset())
+    with pytest.raises(ValueError, match="target t is not declared"):
+        Nfa(frozenset({"s"}), frozenset({"a"}), frozenset({("s", "a", "t")}), frozenset())
 
 
 def test_compiled_rule_naming():

@@ -7,6 +7,7 @@ import pytest
 
 import ruletrees
 from ruletrees.cli import run
+from ruletrees.errors import ResourceLimit
 
 PARITY_TEXT = """\
 state even
@@ -91,6 +92,14 @@ def test_infer_rejections_and_errors(capsys):
     code, _, err = invoke(capsys, "infer", "--system", "even", "f2(f2(f1)")
     assert code == 2
     assert err.startswith("syntax error:")
+
+
+def test_infer_latex(capsys):
+    code, out, _ = invoke(capsys, "infer", "--system", "even", "f2(f2(f1))", "--latex")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("% requires")
+    assert lines[-1] == "$$\\irule{\\irule{\\irule{}{0}{f_{1}}}{2}{f_{2}}}{4}{f_{2}}$$"
 
 
 def test_infer_with_compiled_nfa(capsys, parity_file):
@@ -187,6 +196,11 @@ def test_recfun_godel_ungodel_closure(capsys):
     code, out, _ = invoke(capsys, "recfun", "ungodel", "21")
     assert code == 1
     assert out.startswith("decode error:")
+
+
+def test_recfun_godel_ill_formed(capsys):
+    code, out, err = invoke(capsys, "recfun", "godel", "proj^1_2")
+    assert (code, out, err) == (1, "ill-formed at root\n", "")
 
 
 def test_recfun_diagonal(capsys):
@@ -287,6 +301,23 @@ def test_usage_errors(capsys):
 def test_missing_at_file(capsys):
     code, _, err = invoke(capsys, "infer", "--system", "even", "@/no/such/tree")
     assert code == 2
+
+
+def test_at_file_with_non_utf8_bytes(capsys, tmp_path):
+    tree_file = tmp_path / "tree.bin"
+    tree_file.write_bytes(b"f2(\xff)")
+    code, out, err = invoke(capsys, "infer", "--system", "even", f"@{tree_file}")
+    assert (code, out) == (2, "")
+    assert "codec can't decode byte 0xff" in err
+
+
+def test_resource_limit_goes_to_stderr_with_exit_1(capsys, monkeypatch):
+    def iterate(*args, **kwargs):
+        raise ResourceLimit("step produced more than 5 elements")
+
+    monkeypatch.setattr("ruletrees.cli.engine.iterate", iterate)
+    code, out, err = invoke(capsys, "even", "iterate", "--steps", "9")
+    assert (code, out, err) == (1, "", "step produced more than 5 elements\n")
 
 
 def test_module_entry_point():

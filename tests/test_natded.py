@@ -142,6 +142,30 @@ def test_check_sequent_deriv_rejections():
         nd.check_sequent_deriv(grown)
     assert info.value.path == ()
 
+    # the remaining reasons of and-intro and imp-intro, each at the root
+    cases = [
+        (
+            Tree((nd.Sequent(_CTX, P), nd.AND_INTRO), (_AXIOM, _AXIOM)),
+            "conclusion is not a conjunction",
+        ),
+        (
+            Tree((nd.Sequent(frozenset(), PQ), nd.AND_INTRO), (_AXIOM, _AXIOM)),
+            "premise contexts differ from the conclusion's",
+        ),
+        (
+            Tree((nd.Sequent(_CTX, P), nd.IMP_INTRO), (_AXIOM,)),
+            "conclusion is not an implication",
+        ),
+        (
+            Tree((nd.Sequent(frozenset(), nd.Imp(PQ, Q)), nd.IMP_INTRO), (_AXIOM,)),
+            "premise does not conclude the consequent",
+        ),
+    ]
+    for tree, reason in cases:
+        with pytest.raises(Rejected) as info:
+            nd.check_sequent_deriv(tree)
+        assert (info.value.path, info.value.reason) == ((), reason)
+
 
 # ------------------------------------------------------------- scheme checking
 

@@ -331,12 +331,27 @@ def test_name_tree_round_trip(seed):
         (Tree("proj^2_1_0"), ()),
         (Tree("zero^+1"), ()),
         (Tree("zero^-1"), ()),
+        (Tree("mu", (Tree("succ"), Tree("succ"))), ()),
     ],
 )
 def test_name_trees_that_fit_no_constructor(tree, path):
     with pytest.raises(rf.IllFormed) as info:
         rf.name_tree_to_program(tree)
     assert info.value.path == path
+
+
+@pytest.mark.parametrize(
+    "tree, reason",
+    [
+        (Tree("comp", (Tree("succ"),)), "comp takes an outer and at least one inner child"),
+        (Tree("rec", (Tree("succ"),)), "rec takes exactly two children"),
+        (Tree("mu", (Tree("succ"), Tree("succ"))), "mu takes exactly one child"),
+    ],
+)
+def test_combinators_with_wrong_child_counts(tree, reason):
+    with pytest.raises(rf.IllFormed) as info:
+        rf.name_tree_to_program(tree)
+    assert (info.value.path, info.value.reason) == ((), reason)
 
 
 @pytest.mark.parametrize("name, head", [("zero^2", "zero"), ("succ", "succ"), ("proj^2_1", "proj")])
