@@ -7,7 +7,8 @@ Each outcome prints one message on one stream and exits with one code:
     verdict: diverged, not found, not recognized           stdout  1
       (`nfa derivations` without runs prints nothing)
     rejected at ..., ill-formed at ..., decode error: ...  stdout  1
-    ResourceLimit's message                                stderr  1
+    ResourceLimit: a closure past its size bound           stderr  1
+    ResourceLimit: a recfun code longer than 14284 bits    stderr  1
     syntax error: ..., usage, @FILE or file errors,        stderr  2
       unknown state or letter, eval arity, diagonal oracle
 
@@ -21,14 +22,21 @@ import argparse
 import re
 import sys
 
-from .errors import ArityMismatch, ParseError, Rejected, ResourceLimit, format_path
+from .errors import (
+    ArityMismatch,
+    DecodeError,
+    IllFormed,
+    ParseError,
+    Rejected,
+    ResourceLimit,
+    format_path,
+)
 from .trees import LATEX_PREAMBLE, parse_name_tree, print_name_tree, tree_to_latex
 from . import engine
 from .engine import even_numbers, render_element, render_set
-from . import natded
-from . import recfun
-from .recfun import DecodeError, IllFormed
-from . import automata
+
+# natded, recfun and automata are imported by the handlers that use them,
+# so that a process pays only for the instance its command runs.
 
 
 def read_arg(text: str) -> str:
@@ -70,7 +78,8 @@ def _print_latex(trees, label_parts=_full_label_latex) -> None:
         print(f"$${tree_to_latex(tree, label_parts)}$$")
 
 
-def _load_nfa(path: str) -> automata.Nfa:
+def _load_nfa(path: str):
+    from . import automata
     with open(path, "r", encoding="utf-8") as handle:
         return automata.parse_nfa(handle.read())
 
@@ -78,6 +87,7 @@ def _load_nfa(path: str) -> automata.Nfa:
 def _load_system(selector: str):
     if selector == "even":
         return even_numbers()
+    from . import automata
     return automata.compile_nfa(_load_nfa(selector)).system
 
 
@@ -122,6 +132,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_natded_check(args) -> int:
+    from . import natded
     text = read_arg(args.term)
     # both forms label their nodes (Sequent, rule name or None)
     if args.form == "sequent":
@@ -139,6 +150,7 @@ def cmd_natded_check(args) -> int:
 
 
 def cmd_natded_convert(args) -> int:
+    from . import natded
     text = read_arg(args.term)
     if args.to == "var":
         term = natded.parse_term(text, "scheme")
@@ -150,6 +162,7 @@ def cmd_natded_convert(args) -> int:
 
 
 def cmd_recfun_eval(args) -> int:
+    from . import recfun
     program = recfun.parse_program(read_arg(args.program))
     try:
         result = recfun.evaluate(program, args.args, args.fuel)
@@ -160,17 +173,20 @@ def cmd_recfun_eval(args) -> int:
 
 
 def cmd_recfun_godel(args) -> int:
+    from . import recfun
     program = recfun.parse_program(read_arg(args.program))
-    print(recfun.godel(program))
+    print(recfun.godel(program, recfun.MAX_CODE_BITS))
     return 0
 
 
 def cmd_recfun_ungodel(args) -> int:
+    from . import recfun
     print(recfun.print_program(recfun.ungodel(args.code)))
     return 0
 
 
 def cmd_recfun_diagonal(args) -> int:
+    from . import recfun
     oracle = recfun.parse_program(read_arg(args.program))
     try:
         program = recfun.diagonal(oracle)
@@ -185,6 +201,7 @@ def cmd_recfun_diagonal(args) -> int:
 
 
 def cmd_nfa_run(args) -> int:
+    from . import automata
     nfa = _load_nfa(args.file)
     if automata.recognizes(nfa, args.state, automata.parse_word(args.word)):
         print("recognized")
@@ -194,6 +211,7 @@ def cmd_nfa_run(args) -> int:
 
 
 def cmd_nfa_derivations(args) -> int:
+    from . import automata
     nfa = _load_nfa(args.file)
     derivs = automata.derivations_of(nfa, args.state, automata.parse_word(args.word))
     if args.latex and derivs:
@@ -206,6 +224,7 @@ def cmd_nfa_derivations(args) -> int:
 
 
 def cmd_nfa_rules(args) -> int:
+    from . import automata
     compiled = automata.compile_nfa(_load_nfa(args.file))
     for name, _, premise, conclusion in compiled.edges:
         print(f"{name}: {premise} -> {conclusion}")

@@ -41,5 +41,14 @@ class ArityMismatch(Rejected):
     """A rule or program was applied to the wrong number of arguments."""
 
 
+class IllFormed(Rejected):
+    """A program violates the arity discipline at the node given by `path`."""
+
+
+class DecodeError(ValueError):
+    """A number is not the code of a well-formed program."""
+
+
 class ResourceLimit(RuntimeError):
-    """An iteration grew past the configured cardinality bound."""
+    """An iteration grew past the configured cardinality bound, or a
+    program's code past its length bound."""

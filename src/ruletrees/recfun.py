@@ -22,16 +22,15 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Union
 
-from .errors import ArityMismatch, ParseError, Rejected, format_path
+from .errors import (
+    ArityMismatch,
+    DecodeError,
+    IllFormed,
+    ParseError,
+    ResourceLimit,
+    format_path,
+)
 from .trees import TokenCursor, Tree, tokenize
-
-
-class IllFormed(Rejected):
-    """A program violates the arity discipline at the node given by `path`."""
-
-
-class DecodeError(ValueError):
-    """A number is not the code of a well-formed program."""
 
 
 @dataclass(frozen=True)
@@ -230,34 +229,54 @@ def _unpair(z: int) -> tuple[int, int]:
 _TAG_ZERO, _TAG_SUCC, _TAG_PROJ, _TAG_COMP, _TAG_REC, _TAG_MU = range(6)
 
 
-def godel(program: Program) -> int:
-    """The numeric code of a well-formed program."""
+# A code of at most 14 284 bits is below 2**14284 < 10**4300, so it prints in
+# at most 4 300 decimal digits: CPython's default limit for converting an int
+# to text, which also caps the CODE that `recfun ungodel` reads.
+MAX_CODE_BITS = 14_284
+
+
+def godel(program: Program, max_bits: int | None = None) -> int:
+    """The numeric code of a well-formed program.  With `max_bits`, raises
+    ResourceLimit once a part of the code is longer than that: each nesting
+    level about doubles a code's length, so the whole is never built."""
     arity_of(program)
-    return _encode(program)
+    return _encode(program, max_bits)
 
 
-def _encode(program: Program) -> int:
+def _bounded_pair(a: int, b: int, max_bits: int | None) -> int:
+    code = _pair(a, b)
+    if max_bits is not None and code.bit_length() > max_bits:
+        raise ResourceLimit(f"the program's code is longer than {max_bits} bits")
+    return code
+
+
+def _encode(program: Program, max_bits: int | None) -> int:
     if isinstance(program, Zero):
-        return _pair(_TAG_ZERO, program.arity)
+        return _bounded_pair(_TAG_ZERO, program.arity, max_bits)
     if isinstance(program, Succ):
-        return _pair(_TAG_SUCC, 0)
+        return _bounded_pair(_TAG_SUCC, 0, max_bits)
     if isinstance(program, Proj):
-        return _pair(_TAG_PROJ, _pair(program.arity, program.index))
+        payload = _bounded_pair(program.arity, program.index, max_bits)
+        return _bounded_pair(_TAG_PROJ, payload, max_bits)
     if isinstance(program, Comp):
-        return _pair(_TAG_COMP, _pair(_encode(program.outer), _encode_list(program.inner)))
+        outer = _encode(program.outer, max_bits)
+        payload = _bounded_pair(outer, _encode_list(program.inner, max_bits), max_bits)
+        return _bounded_pair(_TAG_COMP, payload, max_bits)
     if isinstance(program, Rec):
-        return _pair(_TAG_REC, _pair(_encode(program.base), _encode(program.step)))
+        base = _encode(program.base, max_bits)
+        payload = _bounded_pair(base, _encode(program.step, max_bits), max_bits)
+        return _bounded_pair(_TAG_REC, payload, max_bits)
     if isinstance(program, Mu):
-        return _pair(_TAG_MU, _encode(program.body))
+        return _bounded_pair(_TAG_MU, _encode(program.body, max_bits), max_bits)
     raise TypeError(f"not a program: {program!r}")
 
 
-def _encode_list(programs: tuple[Program, ...]) -> int:
+def _encode_list(programs: tuple[Program, ...], max_bits: int | None) -> int:
     # length-prefixed, then right-nested pairs with the last code bare
-    nested = _encode(programs[-1])
+    nested = _encode(programs[-1], max_bits)
     for p in reversed(programs[:-1]):
-        nested = _pair(_encode(p), nested)
-    return _pair(len(programs), nested)
+        nested = _bounded_pair(_encode(p, max_bits), nested, max_bits)
+    return _bounded_pair(len(programs), nested, max_bits)
 
 
 def ungodel(code: int) -> Program:

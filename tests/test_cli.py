@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -203,6 +204,15 @@ def test_recfun_godel_ill_formed(capsys):
     assert (code, out, err) == (1, "ill-formed at root\n", "")
 
 
+@pytest.mark.parametrize("depth", [12, 22])
+def test_recfun_godel_past_the_code_bound(capsys, depth):
+    program = f"zero^{depth}"
+    for _ in range(depth):
+        program = f"mu({program})"
+    code, out, err = invoke(capsys, "recfun", "godel", program)
+    assert (code, out, err) == (1, "", "the program's code is longer than 14284 bits\n")
+
+
 def test_recfun_diagonal(capsys):
     code, out, _ = invoke(capsys, "recfun", "diagonal", "zero^2")
     assert code == 0
@@ -320,18 +330,57 @@ def test_resource_limit_goes_to_stderr_with_exit_1(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "step produced more than 5 elements\n")
 
 
-def test_module_entry_point():
+def child_env():
     # the child imports the same ruletrees as this process, installed or not
     src = str(Path(ruletrees.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "ruletrees", "even", "iterate", "--steps", "2"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
     assert result.returncode == 0
     assert result.stdout == "{0, 2}\n"
+
+
+INSTANCES_PROBE = """\
+import contextlib, io, json, sys
+from ruletrees.cli import run
+
+instances = ("ruletrees.natded", "ruletrees.recfun", "ruletrees.automata")
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run(argv)
+    print(json.dumps([code, [m for m in instances if m in sys.modules]]))
+"""
+
+
+def test_each_command_imports_only_its_instance(parity_file):
+    commands = [
+        ["even", "member", "8", "--depth", "6"],
+        ["natded", "check", "--form", "scheme", SWAP_TEXT],
+        ["recfun", "eval", "comp(succ; succ)", "3"],
+        ["nfa", "run", parity_file, "--state", "even", "--word", "aa"],
+    ]
+    result = subprocess.run(
+        [sys.executable, "-c", INSTANCES_PROBE, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    natded, recfun, automata = "ruletrees.natded", "ruletrees.recfun", "ruletrees.automata"
+    assert [json.loads(line) for line in result.stdout.splitlines()] == [
+        [0, []],
+        [0, [natded]],
+        [0, [natded, recfun]],
+        [0, [natded, recfun, automata]],
+    ]
 
 
 def test_member_output_reparses_and_infers(capsys):

@@ -1,12 +1,14 @@
 import random
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import generators
+from ruletrees import errors
 from ruletrees import recfun as rf
-from ruletrees.errors import ArityMismatch, ParseError
+from ruletrees.errors import ArityMismatch, ParseError, ResourceLimit
 from ruletrees.trees import Tree, parse_name_tree, print_name_tree
 
 ADD_TWO = rf.Comp(rf.Succ(), (rf.Succ(),))
@@ -252,6 +254,34 @@ def test_numbering_round_trip_on_random_programs(seed):
     rng = random.Random(seed)
     program = generators.program(rng, rng.randint(0, 3), rng.randint(1, 3))
     assert rf.ungodel(rf.godel(program)) == program
+
+
+def _mu_nest(depth):
+    program = rf.Zero(depth)
+    for _ in range(depth):
+        program = rf.Mu(program)
+    return program
+
+
+def test_code_length_bound():
+    # the largest bit length whose numbers all print in 4 300 digits
+    assert 2**rf.MAX_CODE_BITS <= 10**4300 < 2 ** (rf.MAX_CODE_BITS + 1)
+    bound = rf.MAX_CODE_BITS
+    code = rf.godel(_mu_nest(11), bound)
+    assert 11_000 < code.bit_length() <= bound
+    assert code == rf.godel(_mu_nest(11))
+    assert rf.godel(_mu_nest(12)).bit_length() > bound  # no bound by default
+    # each level about doubles the length: 22 deep would be some 30 M bits
+    for depth in (12, 22):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit, match="^the program's code is longer than 14284 bits$"):
+            rf.godel(_mu_nest(depth), bound)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_recfun_errors_are_the_shared_classes():
+    assert rf.IllFormed is errors.IllFormed
+    assert rf.DecodeError is errors.DecodeError
 
 
 # ------------------------------------------------------------------ text form
