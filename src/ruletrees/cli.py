@@ -9,6 +9,7 @@ Each outcome prints one message on one stream and exits with one code:
     rejected at ..., ill-formed at ..., decode error: ...  stdout  1
     ResourceLimit: a closure past its size bound           stderr  1
     ResourceLimit: a recfun code longer than 14284 bits    stderr  1
+      (`recfun godel` on a program, `recfun ungodel` on a code)
     syntax error: ..., usage, @FILE or file errors,        stderr  2
       unknown state or letter, eval arity, diagonal oracle
 
@@ -181,7 +182,7 @@ def cmd_recfun_godel(args) -> int:
 
 def cmd_recfun_ungodel(args) -> int:
     from . import recfun
-    print(recfun.print_program(recfun.ungodel(args.code)))
+    print(recfun.print_program(recfun.ungodel(args.code, recfun.MAX_CODE_BITS)))
     return 0
 
 

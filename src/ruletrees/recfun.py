@@ -279,11 +279,14 @@ def _encode_list(programs: tuple[Program, ...], max_bits: int | None) -> int:
     return _bounded_pair(len(programs), nested, max_bits)
 
 
-def ungodel(code: int) -> Program:
+def ungodel(code: int, max_bits: int | None = None) -> Program:
     """Invert `godel`; raises DecodeError on numbers that do not code a
-    well-formed program."""
+    well-formed program.  With `max_bits`, raises ResourceLimit on a code
+    longer than that, as `godel` does for the program it would decode to."""
     if code < 0:
         raise DecodeError("codes are nonnegative")
+    if max_bits is not None and code.bit_length() > max_bits:
+        raise ResourceLimit(f"the program's code is longer than {max_bits} bits")
     program = _decode(code)
     try:
         arity_of(program)

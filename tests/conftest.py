@@ -15,4 +15,6 @@ settings.register_profile(
         HealthCheck.filter_too_much,
     ],
 )
+# `pytest --hypothesis-profile=thorough` loads this one instead
+settings.register_profile("thorough", settings.get_profile("deterministic"), max_examples=2000)
 settings.load_profile("deterministic")

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from math import isqrt
 from pathlib import Path
 
 import pytest
 
 import ruletrees
+from ruletrees import recfun as rf
 from ruletrees.cli import run
 from ruletrees.errors import ResourceLimit
 
@@ -211,6 +213,24 @@ def test_recfun_godel_past_the_code_bound(capsys, depth):
         program = f"mu({program})"
     code, out, err = invoke(capsys, "recfun", "godel", program)
     assert (code, out, err) == (1, "", "the program's code is longer than 14284 bits\n")
+
+
+def test_recfun_ungodel_past_the_code_bound(capsys):
+    # 4 300 digits, as argparse's int() accepts, but 14 285 bits
+    over = 10**4300 - 1
+    code, out, err = invoke(capsys, "recfun", "ungodel", str(over))
+    assert (code, out, err) == (1, "", "the program's code is longer than 14284 bits\n")
+    # the same program `recfun godel` refuses, one bit past the bound
+    over = rf.godel(rf.Zero(isqrt(2 * 2**rf.MAX_CODE_BITS)))
+    code, out, err = invoke(capsys, "recfun", "ungodel", str(over))
+    assert (code, out, err) == (1, "", "the program's code is longer than 14284 bits\n")
+    # a 14 284-bit code decodes, and its program encodes back to it
+    at = rf.godel(rf.Zero(isqrt(2**rf.MAX_CODE_BITS)))
+    assert at.bit_length() == rf.MAX_CODE_BITS
+    code, out, _ = invoke(capsys, "recfun", "ungodel", str(at))
+    assert (code, out) == (0, f"zero^{isqrt(2**rf.MAX_CODE_BITS)}\n")
+    code, out, _ = invoke(capsys, "recfun", "godel", out.strip())
+    assert (code, out) == (0, f"{at}\n")
 
 
 def test_recfun_diagonal(capsys):

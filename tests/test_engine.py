@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import generators
 from ruletrees.engine import (
     DEFAULT_MAX_SET_SIZE,
+    LayerStats,
     Rule,
     RuleSystem,
     UnknownRuleName,
@@ -332,3 +333,149 @@ def test_large_layers_match_naive_reference():
     assert iterate(adder, 12) == _naive_iterate(adder, 12) == (frozenset(range(1, 151)), 9)
     for target in (1, 33, 64, 65, 100, 129, 150, 151):
         assert member(adder, target, 12) == _naive_member(adder, target, 12)
+
+
+def _logged(system, log):
+    """`system` with every rule call appended to `log` as (name, args)."""
+
+    def wrap(rule):
+        def fn(*args):
+            log.append((rule.name, args))
+            return rule.fn(*args)
+
+        return Rule(rule.name, rule.arity, fn)
+
+    return RuleSystem(tuple(wrap(rule) for rule in system.rules))
+
+
+def _expected_layers(system, steps):
+    """The first `steps` closure layers, each as (pool size, rule calls,
+    new elements), up to the first that adds nothing.  The calls are the
+    full product over the render-sorted pool, rule by rule, kept only
+    where the tuple holds an element new in the previous layer (in the
+    first layer, over the empty pool, every tuple)."""
+    layers, previous, pool = [], frozenset(), frozenset()
+    for index in range(steps):
+        ordered = sorted(pool, key=str)
+        fresh = pool - previous
+        calls = [
+            (rule.name, args)
+            for rule in system.rules
+            for args in itertools.product(ordered, repeat=rule.arity)
+            if index == 0 or fresh.intersection(args)
+        ]
+        previous, pool = pool, pool | step(system, pool)
+        layers.append((len(previous), calls, len(pool) - len(previous)))
+        if pool == previous:
+            break
+    return layers
+
+
+def _assert_call_order(system, steps):
+    log, stats = [], []
+    iterate(_logged(system, log), steps, stats=stats)
+    expected = _expected_layers(system, steps)
+    assert log == [call for _, calls, _ in expected for call in calls]
+    # the counters, computed without counting, agree with the calls made
+    assert stats == [
+        LayerStats(index, pool, len(calls), new)
+        for index, (pool, calls, new) in enumerate(expected)
+    ]
+
+
+@given(_seeds)
+def test_call_order_matches_filtered_full_product(seed):
+    rng = random.Random(seed)
+    system = generators.wide_system(rng)
+    _assert_call_order(system, rng.randint(0, 6))
+
+
+def test_call_order_with_runs_of_fresh_elements():
+    # render order puts each layer's new elements next to each other:
+    # layer 2 reads 1 | 11 12 | 2 (old, fresh, old) and layer 3 reads
+    # 1 11 12 2 | 21 22 99 (old, fresh), runs longer than one element
+    system = RuleSystem(
+        (
+            Rule("a", 0, lambda: 1),
+            Rule("b", 0, lambda: 2),
+            Rule("u", 1, lambda x: x + 10 if x < 20 else None),
+            Rule("w", 3, lambda x, y, z: 99 if (x, y, z) == (2, 12, 11) else None),
+        )
+    )
+    log = []
+    assert iterate(_logged(system, log), 10) == (frozenset({1, 2, 11, 12, 21, 22, 99}), 3)
+    _assert_call_order(system, 10)
+    wide = [args for name, args in log if name == "w"]
+    sizes = [2**3, 4**3 - 2**3, 7**3 - 4**3]  # layers 1, 2 and 3
+    assert len(wide) == sum(sizes)
+    assert wide[8:12] == [(1, 1, 11), (1, 1, 12), (1, 11, 1), (1, 11, 11)]
+    # after the 12 tuples from 1, 16 from 11, 16 from 12 and 7 from 2
+    assert wide.index((2, 12, 11)) == 8 + 51
+
+
+@pytest.mark.parametrize(
+    "system, max_size, calls, last",
+    [
+        (
+            RuleSystem(
+                (
+                    Rule("z", 0, lambda: 0),
+                    Rule("s", 1, lambda a: (7 * a + 3) % 40),
+                    Rule("t", 1, lambda a: (5 * a + 1) % 40),
+                )
+            ),
+            20,
+            29,
+            ("s", (36,)),
+        ),
+        (
+            RuleSystem((Rule("z", 0, lambda: 1), Rule("m", 2, lambda a, b: (a * b + a + 1) % 50))),
+            20,
+            35,
+            ("m", (1, 33)),
+        ),
+        (
+            RuleSystem(
+                (
+                    Rule("z", 0, lambda: 1),
+                    Rule("y", 0, lambda: 2),
+                    Rule("f", 3, lambda a, b, c: (a * b + c) % 60),
+                )
+            ),
+            30,
+            176,
+            ("f", (5, 5, 6)),
+        ),
+    ],
+    ids=["arity1", "arity2", "arity3"],
+)
+def test_resource_limit_fires_at_the_same_rule_call(system, max_size, calls, last):
+    # the bound is passed inside a layer; the number of calls made before
+    # it fires pins the order in which the layer tries its tuples
+    for search, args, message in (
+        (iterate, (50,), f"step produced more than {max_size} elements"),
+        (member, (-1, 50), f"more than {max_size} derivable elements"),
+    ):
+        log = []
+        with pytest.raises(ResourceLimit, match=f"^{message}$"):
+            search(_logged(system, log), *args, max_size=max_size)
+        assert (len(log), log[-1]) == (calls, last)
+
+
+def test_layer_stats():
+    stats = []
+    assert member(EVEN, 4, 10, stats=stats).label == (4, "f2")
+    assert stats == [LayerStats(0, 0, 1, 1), LayerStats(1, 1, 1, 1), LayerStats(2, 2, 1, 1)]
+    bounded = RuleSystem(
+        (Rule("z", 0, lambda: 0), Rule("s", 1, lambda a: a + 1 if a < 3 else None))
+    )
+    stats = []
+    assert iterate(bounded, 10, stats=stats) == (frozenset(range(4)), 4)
+    # the fifth layer adds nothing and ends the closure
+    assert [s.new for s in stats] == [1, 1, 1, 1, 0]
+    adder = RuleSystem(
+        (Rule("one", 0, lambda: 1), Rule("add", 2, lambda a, b: a + b if a + b <= 150 else None))
+    )
+    stats = []
+    iterate(adder, 12, stats=stats)
+    assert [(s.pool, s.tried) for s in stats[:4]] == [(0, 1), (1, 1), (2, 3), (4, 12)]

@@ -1,5 +1,6 @@
 import random
 import time
+from math import isqrt
 
 import pytest
 from hypothesis import given
@@ -277,6 +278,23 @@ def test_code_length_bound():
         with pytest.raises(ResourceLimit, match="^the program's code is longer than 14284 bits$"):
             rf.godel(_mu_nest(depth), bound)
         assert time.perf_counter() - start < 1.0
+
+
+def test_ungodel_code_length_bound():
+    bound = rf.MAX_CODE_BITS
+    # the largest 4 300-digit codes are one bit past the bound
+    wide = isqrt(2 * 2**bound)
+    over = rf.godel(rf.Zero(wide))
+    assert (len(str(over)), over.bit_length()) == (4300, bound + 1)
+    assert rf.ungodel(over) == rf.Zero(wide)  # no bound by default
+    with pytest.raises(ResourceLimit, match="^the program's code is longer than 14284 bits$"):
+        rf.ungodel(over, bound)
+    with pytest.raises(ResourceLimit):
+        rf.godel(rf.Zero(wide), bound)
+    # a code of exactly the bound's length still round-trips under it
+    at = rf.godel(rf.Zero(isqrt(2**bound)), bound)
+    assert at.bit_length() == bound
+    assert rf.godel(rf.ungodel(at, bound), bound) == at
 
 
 def test_recfun_errors_are_the_shared_classes():
