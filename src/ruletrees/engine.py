@@ -18,7 +18,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, Iterable
 
 from .errors import ArityMismatch, Rejected, ResourceLimit
 from .trees import NAME_RE, Tree
@@ -117,35 +117,7 @@ def step(
     return frozenset(out)
 
 
-class LayerStats(NamedTuple):
-    """What one closure layer cost: the layer's `index` (from 0), the
-    `pool` size it read, the argument tuples it `tried` and the `new`
-    elements it found."""
-
-    index: int
-    pool: int
-    tried: int
-    new: int
-
-
-def _wide_products(arity: int, pool: list, fresh: list, runs: list, prefix: tuple = ()):
-    """Products whose chain is every argument tuple of `arity` >= 2 over
-    `pool` that starts with the old elements `prefix` and holds a fresh
-    one, in the order of the full product.  At the next position a fresh
-    run takes any completion, and an old run is completed by `fresh` if
-    one position is left and is walked element by element if more are."""
-    rest = arity - len(prefix) - 1
-    for is_fresh, run in runs:
-        if is_fresh:
-            yield itertools.product(*zip(prefix), run, *(pool,) * rest)
-        elif rest == 1:
-            yield itertools.product(*zip(prefix), run, fresh)
-        else:
-            for element in run:
-                yield from _wide_products(arity, pool, fresh, runs, prefix + (element,))
-
-
-def _layers(system: RuleSystem, max_size: int, limit_message: str, stats: list | None = None):
+def _layers(system: RuleSystem, max_size: int, limit_message: str):
     """The closure layers, computed semi-naively, until a fixed point.
 
     Each yielded layer lists its new elements in discovery order, each as
@@ -160,15 +132,13 @@ def _layers(system: RuleSystem, max_size: int, limit_message: str, stats: list |
     - a unary rule walks `fresh`;
     - a binary rule pairs each pool element with the whole pool if it is
       fresh and with `fresh` if not;
-    - a wider rule takes one product per run of fresh or of old elements
-      at each position (`_wide_products`).
+    - a wider rule takes, for each prefix over the pool, the whole pool at
+      the last position if the prefix holds a fresh element and `fresh`
+      if not.
 
-    With `stats`, appends one LayerStats per layer computed, the last
-    (empty) one included.  Raises ResourceLimit(limit_message) once more
-    than `max_size` elements are known.
+    Raises ResourceLimit(limit_message) once more than `max_size`
+    elements are known.
     """
-    arities = [rule.arity for rule in system.rules if rule.arity]
-    nullary = len(system.rules) - len(arities)
     keys: list[str] = []  # renderings of `pool`, sorted
     pool: list = []
     known: set = set()
@@ -180,9 +150,8 @@ def _layers(system: RuleSystem, max_size: int, limit_message: str, stats: list |
             raise ResourceLimit(limit_message)
         layer.append((result, rule, args))
 
-    for index in itertools.count():
+    while True:
         fresh_set = set(fresh)
-        runs = None
         layer = []
         for rule in system.rules:
             fn, arity = rule.fn, rule.arity
@@ -201,26 +170,20 @@ def _layers(system: RuleSystem, max_size: int, limit_message: str, stats: list |
                 if arity == 0:
                     tuples = () if pool else ((),)
                 else:
-                    if runs is None:  # maximal runs of fresh or of old elements
-                        runs = [
-                            (is_fresh, list(run))
-                            for is_fresh, run in itertools.groupby(pool, fresh_set.__contains__)
-                        ]
                     tuples = itertools.chain.from_iterable(
-                        _wide_products(arity, pool, fresh, runs)
+                        itertools.product(
+                            *zip(prefix), fresh if fresh_set.isdisjoint(prefix) else pool
+                        )
+                        for prefix in itertools.product(pool, repeat=arity - 1)
                     )
                 for args in tuples:
                     result = fn(*args)
                     if result is not None and result not in known:
                         found(result, rule, args)
-        if stats is not None:
-            n, old = len(pool), len(pool) - len(fresh)
-            tried = sum(n**k - old**k for k in arities) + (0 if pool else nullary)
-            stats.append(LayerStats(index, n, tried, len(layer)))
         if not layer:
             return
         yield layer
-        if len(layer) == 1:
+        if len(layer) == 1:  # as in every layer of `even`: no keyed sort
             element = layer[0][0]
             keyed = [(render_element(element), element)]
         else:
@@ -243,21 +206,19 @@ def iterate(
     steps: int,
     *,
     max_size: int = DEFAULT_MAX_SET_SIZE,
-    stats: list | None = None,
 ) -> tuple[frozenset, int | None]:
     """Apply `step` to the empty set `steps` times.
 
     The layers come from `_layers`, which gives the same sets as the
     fold of `step` while trying each argument tuple only once.  Returns
     the resulting set together with the first index at which a fixed
-    point was reached, or None if the chain was still growing.  With
-    `stats`, appends a LayerStats for each layer computed.
+    point was reached, or None if the chain was still growing.
     """
     if steps < 0:
         raise ValueError("step count must be nonnegative")
     elements: set = set()
     count = 0
-    layers = _layers(system, max_size, f"step produced more than {max_size} elements", stats)
+    layers = _layers(system, max_size, f"step produced more than {max_size} elements")
     for layer in itertools.islice(layers, steps):
         elements.update(element for element, _, _ in layer)
         count += 1
@@ -270,20 +231,18 @@ def member(
     depth: int,
     *,
     max_size: int = DEFAULT_MAX_SET_SIZE,
-    stats: list | None = None,
 ) -> Tree | None:
     """Search for a derivation of `element` of height at most `depth`.
 
     Layers are explored in order, so the returned witness has minimal
     height; within a layer, ties go to the earliest rule in the system
     and then to the first argument tuple in rendering order.  Returns
-    None when the element is not derivable within `depth` layers.  With
-    `stats`, appends a LayerStats for each layer computed.
+    None when the element is not derivable within `depth` layers.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     witnesses: dict = {}
-    layers = _layers(system, max_size, f"more than {max_size} derivable elements", stats)
+    layers = _layers(system, max_size, f"more than {max_size} derivable elements")
     for layer in itertools.islice(layers, depth):
         for result, rule, args in layer:
             witnesses[result] = Tree((result, rule.name), tuple(witnesses[a] for a in args))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import generators
 from ruletrees.engine import (
     DEFAULT_MAX_SET_SIZE,
-    LayerStats,
     Rule,
     RuleSystem,
     UnknownRuleName,
@@ -349,38 +348,32 @@ def _logged(system, log):
 
 
 def _expected_layers(system, steps):
-    """The first `steps` closure layers, each as (pool size, rule calls,
-    new elements), up to the first that adds nothing.  The calls are the
-    full product over the render-sorted pool, rule by rule, kept only
-    where the tuple holds an element new in the previous layer (in the
-    first layer, over the empty pool, every tuple)."""
+    """The rule calls of the first `steps` closure layers, up to the first
+    that adds nothing: the full product over the render-sorted pool, rule
+    by rule, kept only where the tuple holds an element new in the
+    previous layer (in the first layer, over the empty pool, every tuple)."""
     layers, previous, pool = [], frozenset(), frozenset()
     for index in range(steps):
         ordered = sorted(pool, key=str)
         fresh = pool - previous
-        calls = [
-            (rule.name, args)
-            for rule in system.rules
-            for args in itertools.product(ordered, repeat=rule.arity)
-            if index == 0 or fresh.intersection(args)
-        ]
+        layers.append(
+            [
+                (rule.name, args)
+                for rule in system.rules
+                for args in itertools.product(ordered, repeat=rule.arity)
+                if index == 0 or fresh.intersection(args)
+            ]
+        )
         previous, pool = pool, pool | step(system, pool)
-        layers.append((len(previous), calls, len(pool) - len(previous)))
         if pool == previous:
             break
     return layers
 
 
 def _assert_call_order(system, steps):
-    log, stats = [], []
-    iterate(_logged(system, log), steps, stats=stats)
-    expected = _expected_layers(system, steps)
-    assert log == [call for _, calls, _ in expected for call in calls]
-    # the counters, computed without counting, agree with the calls made
-    assert stats == [
-        LayerStats(index, pool, len(calls), new)
-        for index, (pool, calls, new) in enumerate(expected)
-    ]
+    log = []
+    iterate(_logged(system, log), steps)
+    assert log == [call for calls in _expected_layers(system, steps) for call in calls]
 
 
 @given(_seeds)
@@ -461,21 +454,3 @@ def test_resource_limit_fires_at_the_same_rule_call(system, max_size, calls, las
             search(_logged(system, log), *args, max_size=max_size)
         assert (len(log), log[-1]) == (calls, last)
 
-
-def test_layer_stats():
-    stats = []
-    assert member(EVEN, 4, 10, stats=stats).label == (4, "f2")
-    assert stats == [LayerStats(0, 0, 1, 1), LayerStats(1, 1, 1, 1), LayerStats(2, 2, 1, 1)]
-    bounded = RuleSystem(
-        (Rule("z", 0, lambda: 0), Rule("s", 1, lambda a: a + 1 if a < 3 else None))
-    )
-    stats = []
-    assert iterate(bounded, 10, stats=stats) == (frozenset(range(4)), 4)
-    # the fifth layer adds nothing and ends the closure
-    assert [s.new for s in stats] == [1, 1, 1, 1, 0]
-    adder = RuleSystem(
-        (Rule("one", 0, lambda: 1), Rule("add", 2, lambda a, b: a + b if a + b <= 150 else None))
-    )
-    stats = []
-    iterate(adder, 12, stats=stats)
-    assert [(s.pool, s.tried) for s in stats[:4]] == [(0, 1), (1, 1), (2, 3), (4, 12)]
