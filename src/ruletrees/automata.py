@@ -22,10 +22,8 @@ with `#` starting a comment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ParseError, Rejected
-from .trees import Tree, print_name_tree
+from .trees import Tree, print_name_tree, record
 from .engine import Rule, RuleSystem
 
 Word = tuple[str, ...]
@@ -43,28 +41,26 @@ class MalformedChain(Rejected):
     """A tree handed to `erase` is not a linear chain ending in a final rule."""
 
 
-@dataclass(frozen=True)
-class Nfa:
-    states: frozenset[str]
-    alphabet: frozenset[str]
-    transitions: frozenset[tuple[str, str, str]]
-    finals: frozenset[str]
+class Nfa(record("states", "alphabet", "transitions", "finals")):
+    """Frozensets of names, and of (source, letter, target) transitions."""
 
-    def __post_init__(self):
-        for state in self.finals:
-            if state not in self.states:
+    __slots__ = ()
+
+    def __new__(cls, states, alphabet, transitions, finals):
+        for state in finals:
+            if state not in states:
                 raise ValueError(f"final state {state} is not declared")
-        for source, letter, target in self.transitions:
-            if source not in self.states:
+        for source, letter, target in transitions:
+            if source not in states:
                 raise ValueError(f"transition source {source} is not declared")
-            if target not in self.states:
+            if target not in states:
                 raise ValueError(f"transition target {target} is not declared")
-            if letter not in self.alphabet:
+            if letter not in alphabet:
                 raise ValueError(f"transition letter {letter} is not declared")
+        return super().__new__(cls, states, alphabet, transitions, finals)
 
 
-@dataclass(frozen=True)
-class CompiledRules:
+class CompiledRules(record("system", "edges", "finals", "erasure")):
     """The rule-system view of an automaton.
 
     `edges` lists the letter rules as (name, letter, premise, conclusion);
@@ -73,10 +69,7 @@ class CompiledRules:
     rules.
     """
 
-    system: RuleSystem
-    edges: tuple[tuple[str, str, str, str], ...]
-    finals: tuple[tuple[str, str], ...]
-    erasure: dict[str, str]
+    __slots__ = ()
 
 
 def compile_nfa(nfa: Nfa) -> CompiledRules:

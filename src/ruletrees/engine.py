@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Iterable
 
 from .errors import ArityMismatch, Rejected, ResourceLimit
-from .trees import NAME_RE, Tree
+from .trees import NAME_RE, Tree, record
 
 Element = Any
 
@@ -40,23 +39,21 @@ class RuleUndefined(Rejected):
     """A rule was applied at arguments where it is undefined."""
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(record("name", "arity", "fn")):
     """A named partial function of fixed arity.
 
     `fn` receives `arity` positional arguments and returns either an
     element or None to signal that the rule is undefined there.
     """
 
-    name: str
-    arity: int
-    fn: Callable[..., Element | None]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not NAME_RE.fullmatch(self.name):
-            raise ValueError(f"invalid rule name {self.name!r}")
-        if self.arity < 0:
-            raise ValueError(f"rule {self.name}: arity must be nonnegative")
+    def __new__(cls, name: str, arity: int, fn: Callable[..., Element | None]):
+        if not NAME_RE.fullmatch(name):
+            raise ValueError(f"invalid rule name {name!r}")
+        if arity < 0:
+            raise ValueError(f"rule {name}: arity must be nonnegative")
+        return super().__new__(cls, name, arity, fn)
 
     def apply(self, args: tuple[Element, ...]) -> Element | None:
         """Apply the rule, or return None where it is undefined."""
@@ -67,20 +64,33 @@ class Rule:
         return self.fn(*args)
 
 
-@dataclass(frozen=True)
 class RuleSystem:
-    """A finite list of rules with distinct names."""
+    """A finite list of rules with distinct names, compared by `rules`."""
 
-    rules: tuple[Rule, ...]
-    _by_name: dict = field(init=False, compare=False, repr=False)
+    __slots__ = ("rules", "_by_name")
 
-    def __post_init__(self):
+    def __init__(self, rules: tuple[Rule, ...]):
         by_name = {}
-        for rule in self.rules:
+        for rule in rules:
             if rule.name in by_name:
                 raise ValueError(f"duplicate rule name {rule.name}")
             by_name[rule.name] = rule
+        object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "_by_name", by_name)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rules == other.rules
+
+    def __hash__(self):
+        return hash((self.rules,))
+
+    def __repr__(self) -> str:
+        return f"RuleSystem(rules={self.rules!r})"
 
     def find(self, name: str) -> Rule | None:
         return self._by_name.get(name)

@@ -25,39 +25,31 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .errors import ParseError, Rejected
-from .trees import TokenCursor, Tree, tokenize
+from .trees import TokenCursor, Tree, record, tokenize
 
 
 # ---------------------------------------------------------------- propositions
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+class Atom(record("name")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Prop"
-    right: "Prop"
+class And(record("left", "right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Imp:
-    left: "Prop"
-    right: "Prop"
+class Imp(record("left", "right")):
+    __slots__ = ()
 
 
 Prop = Union[Atom, And, Imp]
 
 
-@dataclass(frozen=True)
-class Sequent:
-    ctx: frozenset
-    concl: Prop
+class Sequent(record("ctx", "concl")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return print_sequent(self)
@@ -65,58 +57,45 @@ class Sequent:
 
 # ----------------------------------------------------------------- proof terms
 
-@dataclass(frozen=True)
-class Hyp:
+class Hyp(record("prop")):
     """Use of a hypothesis, identified by the proposition it proves."""
 
-    prop: Prop
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class HypFull:
+class HypFull(record("ctx", "prop")):
     """Use of a hypothesis carrying its full context explicitly."""
 
-    ctx: frozenset
-    prop: Prop
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Lam:
+class Lam(record("prop", "body")):
     """Implication introduction; the binder is the proposition alone."""
 
-    prop: Prop
-    body: "SchemeTerm"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Pair:
-    left: "Term"
-    right: "Term"
+class Pair(record("left", "right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Fst:
-    body: "Term"
+class Fst(record("body")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Snd:
-    body: "Term"
+class Snd(record("body")):
+    __slots__ = ()
 
 
 SchemeTerm = Union[Hyp, HypFull, Lam, Pair, Fst, Snd]
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(record("name")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LamV:
-    name: str
-    prop: Prop
-    body: "VarTerm"
+class LamV(record("name", "prop", "body")):
+    __slots__ = ()
 
 
 PairV, FstV, SndV = Pair, Fst, Snd

@@ -18,7 +18,6 @@ from the pairing function (a + b)(a + b + 1)/2 + b.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import isqrt
 from typing import Union
 
@@ -30,50 +29,41 @@ from .errors import (
     ResourceLimit,
     format_path,
 )
-from .trees import TokenCursor, Tree, tokenize
+from .trees import TokenCursor, Tree, record, tokenize
 
 
-@dataclass(frozen=True)
-class Zero:
+class Zero(record("arity")):
     """The function of `arity` arguments that is constantly 0."""
 
-    arity: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Succ:
-    pass
+class Succ(record()):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Proj:
+class Proj(record("arity", "index")):
     """The `index`-th of `arity` arguments, 1-based."""
 
-    arity: int
-    index: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Comp:
+class Comp(record("outer", "inner")):
     """Apply `outer` to the results of the `inner` programs."""
 
-    outer: "Program"
-    inner: tuple["Program", ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Rec:
+class Rec(record("base", "step")):
     """Primitive recursion on the first argument, from `base` via `step`."""
 
-    base: "Program"
-    step: "Program"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mu:
+class Mu(record("body")):
     """Search for the least value making `body` return 0."""
 
-    body: "Program"
+    __slots__ = ()
 
 
 Program = Union[Zero, Succ, Proj, Comp, Rec, Mu]

@@ -17,16 +17,39 @@ natded's proof terms, recfun's programs) with one token regex each.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Any, Callable, Iterator
 
 from .errors import ParseError
 
 
-@dataclass(frozen=True)
-class Tree:
-    label: Any
-    children: tuple[Tree, ...] = ()
+def _same_record(self, other) -> bool:
+    return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+
+
+def record(*fields: str, defaults: tuple = ()) -> type:
+    """A base class for immutable records: `class Atom(record("name"))`,
+    whose body sets `__slots__ = ()`.
+
+    The base is a `collections.namedtuple` (`defaults` fill the last
+    fields), so a record is built positionally or by keyword through its
+    generated `__new__`, refuses attribute assignment, and has the `repr`
+    `Atom(name='P')`.  It is a tuple: it unpacks, indexes, orders and
+    hashes like the tuple of its fields.  Equality alone also checks the
+    class, so that `And(p, q)` and `Imp(p, q)` stay two members of one set
+    and no record equals a plain tuple.  A record is true even with no
+    fields.
+    """
+    base = namedtuple("record", fields, defaults=defaults)
+    base.__eq__ = _same_record
+    base.__ne__ = lambda self, other: not _same_record(self, other)
+    base.__hash__ = tuple.__hash__
+    base.__bool__ = lambda self: True
+    return base
+
+
+class Tree(record("label", "children", defaults=((),))):
+    __slots__ = ()
 
     def height(self) -> int:
         """Number of nodes on the longest root-to-leaf path."""
