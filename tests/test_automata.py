@@ -62,9 +62,9 @@ def test_parse_nfa_errors():
 
 
 def test_nfa_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^final state s is not declared$"):
         Nfa(frozenset(), frozenset(), frozenset(), frozenset({"s"}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^transition letter a is not declared$"):
         Nfa(
             frozenset({"s"}),
             frozenset(),

@@ -46,16 +46,16 @@ def test_partial_rules_return_none():
 
 
 def test_rule_and_system_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^invalid rule name 'bad name'$"):
         Rule("bad name", 0, lambda: 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^invalid rule name ''$"):
         Rule("", 0, lambda: 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^invalid rule name 'f\('$"):
         Rule("f(", 0, lambda: 0)
-    with pytest.raises(ValueError):
-        Rule("f", -1, lambda: 0)
+    with pytest.raises(ValueError, match=r"^rule f: arity must be nonnegative$"):
+        Rule(name="f", arity=-1, fn=lambda: 0)
     twice = Rule("f", 0, lambda: 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^duplicate rule name f$"):
         RuleSystem((twice, twice))
 
 

@@ -1,0 +1,124 @@
+"""The semantics every record type keeps: class-checked equality, hashing,
+immutability, truth, keyword construction, validation and repr."""
+
+import pytest
+
+from ruletrees.automata import Nfa
+from ruletrees.engine import Rule, RuleSystem
+from ruletrees.natded import And, Atom, Fst, Hyp, Imp, Sequent, Var
+from ruletrees.recfun import Comp, Mu, Proj, Succ, Zero
+from ruletrees.trees import Tree
+
+P, Q = Atom("P"), Atom("Q")
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (And(P, Q), Imp(P, Q)),
+        (Atom("P"), Var("P")),
+        (Hyp(P), Fst(P)),
+        (Tree("P"), Sequent("P", ())),
+        (Mu(Succ()), Fst(Succ())),
+    ],
+    ids=["and-imp", "atom-var", "hyp-fst", "tree-sequent", "mu-fst"],
+)
+def test_records_of_different_classes_with_equal_fields_differ(left, right):
+    assert left != right and right != left
+    assert not (left == right or right == left)
+    assert len(frozenset([left, right])) == 2
+    assert len({left: 1, right: 2}) == 2
+
+
+@pytest.mark.parametrize(
+    "record, fields",
+    [
+        (Atom("P"), ("P",)),
+        (And(P, Q), (P, Q)),
+        (Tree("f1"), ("f1", ())),
+        (Proj(2, 1), (2, 1)),
+        (Succ(), ()),
+    ],
+    ids=["atom", "and", "tree", "proj", "succ"],
+)
+def test_a_record_never_equals_the_plain_tuple_of_its_fields(record, fields):
+    assert record != fields and fields != record
+    assert not (record == fields or fields == record)
+    assert len({record, fields}) == 2
+
+
+def test_equal_records_are_equal_and_hash_alike():
+    left = Sequent(frozenset([P, And(P, Q)]), Imp(Q, P))
+    right = Sequent(frozenset([And(P, Q), P]), Imp(Q, P))
+    assert left == right and not left != right
+    assert hash(left) == hash(right)
+    assert Tree("f2", (Tree("f1"),)) == Tree(label="f2", children=(Tree("f1"),))
+    assert Comp(Succ(), (Zero(1),)) != Comp(Succ(), (Zero(2),))
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (Atom("P"), "name"),
+        (Tree("f1"), "children"),
+        (Rule("s", 1, abs), "fn"),
+        (Succ(), "arity"),
+        (RuleSystem((Rule("z", 0, lambda: 0),)), "rules"),
+    ],
+    ids=["atom", "tree", "rule", "succ", "rule-system"],
+)
+def test_assigning_an_attribute_raises(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+
+
+def test_records_are_true_even_without_fields():
+    assert Succ()
+    assert bool(Succ()) is True
+    assert Atom("") and Tree("")
+
+
+def test_keyword_construction():
+    nfa = Nfa(
+        states=frozenset({"s", "t"}),
+        alphabet=frozenset({"a"}),
+        transitions=frozenset({("s", "a", "t")}),
+        finals=frozenset({"t"}),
+    )
+    assert nfa == Nfa(
+        frozenset({"s", "t"}), frozenset({"a"}), frozenset({("s", "a", "t")}), frozenset({"t"})
+    )
+    assert nfa.finals == frozenset({"t"})
+    assert Tree(label="f1") == Tree("f1", ())
+    assert Tree(label="f1").children == ()
+    assert Rule(name="s", arity=1, fn=abs) == Rule("s", 1, abs)
+    assert Proj(arity=3, index=2).index == 2
+    assert RuleSystem(rules=()) == RuleSystem(())
+
+
+def test_rule_system_equality_and_hash_go_by_rules():
+    rules = (Rule("z", 0, abs), Rule("s", 1, abs))
+    same, other = RuleSystem(rules), RuleSystem(rules[:1])
+    assert RuleSystem(rules) == same and not RuleSystem(rules) != same
+    assert hash(RuleSystem(rules)) == hash(same)
+    assert RuleSystem(rules) != other
+    assert RuleSystem(rules) != rules
+    assert len({RuleSystem(rules), same, other}) == 2
+    assert same.find("s") is rules[1] and same.find("t") is None
+
+
+def test_repr_matches_the_field_listing():
+    tree = Tree("f2", (Tree("f1"), Tree("f1")))
+    assert repr(tree) == (
+        "Tree(label='f2', children=(Tree(label='f1', children=()), "
+        "Tree(label='f1', children=())))"
+    )
+    assert repr(Rule("s", 1, abs)) == "Rule(name='s', arity=1, fn=<built-in function abs>)"
+    assert repr(Atom("P")) == "Atom(name='P')"
+    assert repr(And(P, Imp(Q, P))) == (
+        "And(left=Atom(name='P'), right=Imp(left=Atom(name='Q'), right=Atom(name='P')))"
+    )
+    assert repr(Succ()) == "Succ()"
+    assert repr(RuleSystem((Rule("s", 1, abs),))) == (
+        "RuleSystem(rules=(Rule(name='s', arity=1, fn=<built-in function abs>),))"
+    )
