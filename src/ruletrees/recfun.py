@@ -10,6 +10,10 @@ and (y+1, xs) to h(y, f(y, xs), xs).  Minimization appends its search
 variable after the given arguments: mu(f)(xs) is the least y with
 f(xs, y) = 0.  Evaluation is bounded by a fuel budget so that searches
 which never succeed are reported as divergence instead of looping.
+`evaluate` compiles the program once per call into nested closures, in
+the walk that checks its arities.  They charge one unit of fuel at three
+points: a composition's entry, a recursion's entry and each of its steps,
+and a minimization's entry and each of its probes.
 
 Every well-formed program has a numeric code (`godel`/`ungodel`) built
 from the pairing function (a + b)(a + b + 1)/2 + b.
@@ -18,7 +22,9 @@ from the pairing function (a + b)(a + b + 1)/2 + b.
 from __future__ import annotations
 
 import re
+from itertools import count
 from math import isqrt
+from operator import itemgetter
 from typing import Union
 
 from .errors import (
@@ -72,51 +78,7 @@ Program = Union[Zero, Succ, Proj, Comp, Rec, Mu]
 def arity_of(program: Program, _path: tuple[int, ...] = ()) -> int:
     """Number of arguments the program takes; raises IllFormed with the
     path of the offending subprogram."""
-    if isinstance(program, Zero):
-        if program.arity < 0:
-            raise IllFormed(_path, "zero takes a nonnegative arity")
-        return program.arity
-    if isinstance(program, Succ):
-        return 1
-    if isinstance(program, Proj):
-        if not 1 <= program.index <= program.arity:
-            raise IllFormed(
-                _path,
-                f"projection index {program.index} out of range for arity {program.arity}",
-            )
-        return program.arity
-    if isinstance(program, Comp):
-        if not program.inner:
-            raise IllFormed(_path, "composition needs at least one inner program")
-        outer_arity = arity_of(program.outer, _path + (0,))
-        inner_arities = [
-            arity_of(g, _path + (i + 1,)) for i, g in enumerate(program.inner)
-        ]
-        if len(set(inner_arities)) != 1:
-            raise IllFormed(_path, "inner programs disagree on arity")
-        if outer_arity != len(program.inner):
-            raise IllFormed(
-                _path,
-                f"outer program takes {outer_arity} argument(s) "
-                f"but {len(program.inner)} inner program(s) are given",
-            )
-        return inner_arities[0]
-    if isinstance(program, Rec):
-        base_arity = arity_of(program.base, _path + (0,))
-        step_arity = arity_of(program.step, _path + (1,))
-        if step_arity != base_arity + 2:
-            raise IllFormed(
-                _path,
-                f"recursion step takes {step_arity} argument(s), "
-                f"needs {base_arity + 2}",
-            )
-        return base_arity + 1
-    if isinstance(program, Mu):
-        body_arity = arity_of(program.body, _path + (0,))
-        if body_arity < 1:
-            raise IllFormed(_path, "minimization needs a body of arity at least 1")
-        return body_arity - 1
-    raise TypeError(f"not a program: {program!r}")
+    return _compile(program, None, _path)[1]
 
 
 class _Exhausted(Exception):
@@ -129,10 +91,91 @@ class _Budget:
     def __init__(self, amount: int):
         self.remaining = amount
 
-    def spend(self):
-        if self.remaining <= 0:
-            raise _Exhausted
-        self.remaining -= 1
+
+def _compile(program: Program, budget: _Budget | None, path: tuple[int, ...]):
+    """Check a program's arities and build the closure that runs it on a
+    budget, in one walk: (run, arity).  Raises IllFormed where it fails."""
+    if isinstance(program, Zero):
+        if program.arity < 0:
+            raise IllFormed(path, "zero takes a nonnegative arity")
+        return (lambda args: 0), program.arity
+    if isinstance(program, Succ):
+        return (lambda args: args[0] + 1), 1
+    if isinstance(program, Proj):
+        if not 1 <= program.index <= program.arity:
+            raise IllFormed(
+                path,
+                f"projection index {program.index} out of range for arity {program.arity}",
+            )
+        return itemgetter(program.index - 1), program.arity
+    if isinstance(program, Comp):
+        if not program.inner:
+            raise IllFormed(path, "composition needs at least one inner program")
+        outer, outer_arity = _compile(program.outer, budget, path + (0,))
+        pairs = enumerate(program.inner, 1)
+        inners, arities = zip(*[_compile(g, budget, path + (i,)) for i, g in pairs])
+        if len(set(arities)) != 1:
+            raise IllFormed(path, "inner programs disagree on arity")
+        if outer_arity != len(program.inner):
+            raise IllFormed(
+                path,
+                f"outer program takes {outer_arity} argument(s) "
+                f"but {len(program.inner)} inner program(s) are given",
+            )
+        if len(inners) == 1:
+            (g,) = inners
+            def run(args):
+                if budget.remaining <= 0:
+                    raise _Exhausted
+                budget.remaining -= 1
+                return outer((g(args),))
+        else:
+            def run(args):
+                if budget.remaining <= 0:
+                    raise _Exhausted
+                budget.remaining -= 1
+                return outer(tuple([g(args) for g in inners]))
+        return run, arities[0]
+    if isinstance(program, Rec):
+        base, base_arity = _compile(program.base, budget, path + (0,))
+        step, step_arity = _compile(program.step, budget, path + (1,))
+        if step_arity != base_arity + 2:
+            raise IllFormed(
+                path,
+                f"recursion step takes {step_arity} argument(s), "
+                f"needs {base_arity + 2}",
+            )
+
+        def run(args):
+            if budget.remaining <= 0:
+                raise _Exhausted
+            budget.remaining -= 1
+            rest = args[1:]
+            acc = base(rest)
+            for j in range(args[0]):
+                if budget.remaining <= 0:
+                    raise _Exhausted
+                budget.remaining -= 1
+                acc = step((j, acc) + rest)
+            return acc
+        return run, base_arity + 1
+    if isinstance(program, Mu):
+        body, body_arity = _compile(program.body, budget, path + (0,))
+        if body_arity < 1:
+            raise IllFormed(path, "minimization needs a body of arity at least 1")
+
+        def run(args):
+            if budget.remaining <= 0:
+                raise _Exhausted
+            budget.remaining -= 1
+            for y in count():
+                if budget.remaining <= 0:
+                    raise _Exhausted
+                budget.remaining -= 1
+                if body(args + (y,)) == 0:
+                    return y
+        return run, body_arity - 1
+    raise TypeError(f"not a program: {program!r}")
 
 
 def evaluate(
@@ -140,14 +183,14 @@ def evaluate(
 ) -> int | None:
     """Run a program on natural-number arguments under a fuel budget.
 
-    One unit of fuel is charged for entering a composition, for each
-    recursion unfolding, and for each minimization probe; the base
-    functions are free.  Returns the value, or None when the budget is
-    exhausted first.
+    The program is compiled into closures that charge the budget at the
+    three points the module docstring names; the base functions are free.
+    Returns the value, or None when the budget runs out first.
     """
     if fuel < 1:
         raise ValueError("fuel must be positive")
-    arity = arity_of(program)
+    budget = _Budget(fuel)
+    run, arity = _compile(program, budget, ())
     args = tuple(args)
     if len(args) != arity:
         raise ArityMismatch(
@@ -155,41 +198,10 @@ def evaluate(
         )
     if any(a < 0 for a in args):
         raise ValueError("arguments must be natural numbers")
-    budget = _Budget(fuel)
     try:
-        return _eval(program, args, budget)
+        return run(args)
     except _Exhausted:
         return None
-
-
-def _eval(program: Program, args: tuple[int, ...], budget: _Budget) -> int:
-    if isinstance(program, Zero):
-        return 0
-    if isinstance(program, Succ):
-        return args[0] + 1
-    if isinstance(program, Proj):
-        return args[program.index - 1]
-    if isinstance(program, Comp):
-        budget.spend()
-        values = tuple(_eval(g, args, budget) for g in program.inner)
-        return _eval(program.outer, values, budget)
-    if isinstance(program, Rec):
-        budget.spend()
-        count, rest = args[0], args[1:]
-        acc = _eval(program.base, rest, budget)
-        for j in range(count):
-            budget.spend()
-            acc = _eval(program.step, (j, acc) + rest, budget)
-        return acc
-    if isinstance(program, Mu):
-        budget.spend()
-        y = 0
-        while True:
-            budget.spend()
-            if _eval(program.body, args + (y,), budget) == 0:
-                return y
-            y += 1
-    raise TypeError(f"not a program: {program!r}")
 
 
 def diagonal(oracle: Program) -> Program:

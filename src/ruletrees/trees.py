@@ -38,9 +38,11 @@ def record(*fields: str, defaults: tuple = ()) -> type:
     hashes like the tuple of its fields.  Equality alone also checks the
     class, so that `And(p, q)` and `Imp(p, q)` stay two members of one set
     and no record equals a plain tuple.  A record is true even with no
-    fields.
+    fields.  `_make`, and `_replace` through it, build by calling the
+    class, so a subclass's validating `__new__` runs for them too.
     """
     base = namedtuple("record", fields, defaults=defaults)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
     base.__eq__ = _same_record
     base.__ne__ = lambda self, other: not _same_record(self, other)
     base.__hash__ = tuple.__hash__
