@@ -35,26 +35,36 @@ def test_arities_of_the_combinators():
     assert rf.arity_of(rf.Mu(rf.Succ())) == 0
 
 
-@pytest.mark.parametrize(
-    "program, path",
-    [
-        (rf.Zero(-1), ()),
-        (rf.Proj(2, 3), ()),
-        (rf.Proj(1, 0), ()),
-        (rf.Comp(rf.Succ(), ()), ()),
-        (rf.Comp(rf.Succ(), (rf.Zero(1), rf.Zero(1))), ()),
-        (rf.Comp(rf.Zero(2), (rf.Zero(1), rf.Zero(2))), ()),
-        (rf.Comp(rf.Succ(), (rf.Proj(1, 2),)), (1,)),
-        (rf.Rec(rf.Zero(1), rf.Zero(1)), ()),
-        (rf.Rec(rf.Proj(2, 3), rf.Zero(4)), (0,)),
-        (rf.Mu(rf.Zero(0)), ()),
-        (rf.Mu(rf.Mu(rf.Proj(1, 1))), ()),
-    ],
-)
+ILL_FORMED = [
+    (rf.Zero(-1), ()),
+    (rf.Proj(2, 3), ()),
+    (rf.Proj(1, 0), ()),
+    (rf.Comp(rf.Succ(), ()), ()),
+    (rf.Comp(rf.Succ(), (rf.Zero(1), rf.Zero(1))), ()),
+    (rf.Comp(rf.Zero(2), (rf.Zero(1), rf.Zero(2))), ()),
+    (rf.Comp(rf.Succ(), (rf.Proj(1, 2),)), (1,)),
+    (rf.Rec(rf.Zero(1), rf.Zero(1)), ()),
+    (rf.Rec(rf.Proj(2, 3), rf.Zero(4)), (0,)),
+    (rf.Mu(rf.Zero(0)), ()),
+    (rf.Mu(rf.Mu(rf.Proj(1, 1))), ()),
+]
+
+
+@pytest.mark.parametrize("program, path", ILL_FORMED)
 def test_ill_formed_programs_are_located(program, path):
     with pytest.raises(rf.IllFormed) as info:
         rf.arity_of(program)
     assert info.value.path == path
+
+
+@pytest.mark.parametrize("program, path", ILL_FORMED)
+def test_evaluate_rejects_ill_formed_programs_like_arity_of(program, path):
+    with pytest.raises(rf.IllFormed) as expected:
+        rf.arity_of(program)
+    # formation is checked before the argument count
+    with pytest.raises(rf.IllFormed) as info:
+        rf.evaluate(program, (), 10)
+    assert (info.value.path, info.value.reason) == (path, expected.value.reason)
 
 
 # ---------------------------------------------------------------- evaluation
@@ -109,6 +119,16 @@ def test_fuel_accounting_is_exact():
     assert rf.evaluate(SEARCH, (0,), 1) is None
 
 
+def test_a_450_deep_composition_chain_evaluates():
+    # fits the default recursion limit only if evaluating costs at most
+    # two Python frames per nesting level
+    program = rf.Proj(1, 1)
+    for _ in range(450):
+        program = rf.Comp(rf.Succ(), (program,))
+    assert rf.evaluate(program, (7,), 450) == 457
+    assert rf.evaluate(program, (7,), 449) is None
+
+
 def test_mu_convention_switch():
     # the search variable is appended last, so the body sees x first
     assert rf.evaluate(SEARCH, (3,), 100) is None
@@ -128,6 +148,72 @@ def test_more_fuel_never_changes_a_value(seed):
     second = rf.evaluate(program, args, large)
     if first is not None:
         assert second == first
+
+
+class _RefExhausted(Exception):
+    pass
+
+
+class _RefBudget:
+    def __init__(self, amount):
+        self.remaining = amount
+
+    def spend(self):
+        if self.remaining <= 0:
+            raise _RefExhausted
+        self.remaining -= 1
+
+
+def _tree_walk_eval(program, args, budget):
+    """Reference interpreter: walks the program tree and calls
+    `budget.spend()` at each charge point that `evaluate` documents."""
+    if isinstance(program, rf.Zero):
+        return 0
+    if isinstance(program, rf.Succ):
+        return args[0] + 1
+    if isinstance(program, rf.Proj):
+        return args[program.index - 1]
+    if isinstance(program, rf.Comp):
+        budget.spend()
+        values = tuple(_tree_walk_eval(g, args, budget) for g in program.inner)
+        return _tree_walk_eval(program.outer, values, budget)
+    if isinstance(program, rf.Rec):
+        budget.spend()
+        count, rest = args[0], args[1:]
+        acc = _tree_walk_eval(program.base, rest, budget)
+        for j in range(count):
+            budget.spend()
+            acc = _tree_walk_eval(program.step, (j, acc) + rest, budget)
+        return acc
+    if isinstance(program, rf.Mu):
+        budget.spend()
+        y = 0
+        while True:
+            budget.spend()
+            if _tree_walk_eval(program.body, args + (y,), budget) == 0:
+                return y
+            y += 1
+    raise TypeError(f"not a program: {program!r}")
+
+
+@given(_seeds)
+def test_fuel_threshold_matches_the_tree_walking_interpreter(seed):
+    rng = random.Random(seed)
+    arity = rng.randint(0, 2)
+    program = generators.program(rng, arity, rng.randint(1, 3))
+    args = tuple(rng.randint(0, 4) for _ in range(arity))
+    cap = 3000
+    budget = _RefBudget(cap)
+    try:
+        value = _tree_walk_eval(program, args, budget)
+    except _RefExhausted:
+        assert rf.evaluate(program, args, cap) is None
+        return
+    spent = cap - budget.remaining
+    # the least fuel that returns the value, and one unit less
+    assert rf.evaluate(program, args, max(spent, 1)) == value
+    if spent > 1:
+        assert rf.evaluate(program, args, spent - 1) is None
 
 
 def _loop_eval(program, args):

@@ -96,6 +96,41 @@ def test_keyword_construction():
     assert RuleSystem(rules=()) == RuleSystem(())
 
 
+LOOP = Nfa(frozenset({"s"}), frozenset({"a"}), frozenset({("s", "a", "s")}), frozenset({"s"}))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Rule._make(("bad name", -1, abs)), r"^invalid rule name 'bad name'$"),
+        (lambda: Rule._make(("f", -1, abs)), r"^rule f: arity must be nonnegative$"),
+        (lambda: Rule("f", 1, abs)._replace(name="f("), r"^invalid rule name 'f\('$"),
+        (lambda: Rule("f", 1, abs)._replace(arity=-2), r"^rule f: arity must be nonnegative$"),
+        (
+            lambda: Nfa._make((frozenset(), frozenset(), frozenset(), frozenset({"s"}))),
+            r"^final state s is not declared$",
+        ),
+        (lambda: LOOP._replace(finals=frozenset({"x"})), r"^final state x is not declared$"),
+        (lambda: LOOP._replace(alphabet=frozenset()), r"^transition letter a is not declared$"),
+    ],
+    ids=["rule-make-name", "rule-make-arity", "rule-replace-name", "rule-replace-arity",
+         "nfa-make-final", "nfa-replace-final", "nfa-replace-letter"],
+)
+def test_make_and_replace_validate_like_the_constructor(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_a_valid_make_or_replace_keeps_the_subclass():
+    rule = Rule("f", 1, abs)._replace(name="g")
+    assert type(rule) is Rule and rule == Rule("g", 1, abs)
+    assert type(Rule._make(("g", 1, abs))) is Rule
+    nfa = LOOP._replace(finals=frozenset())
+    assert type(nfa) is Nfa and nfa.finals == frozenset() and nfa.states == LOOP.states
+    assert Tree("f1")._replace(label="f2") == Tree("f2")
+    assert type(Proj._make((2, 1))) is Proj
+
+
 def test_rule_system_equality_and_hash_go_by_rules():
     rules = (Rule("z", 0, abs), Rule("s", 1, abs))
     same, other = RuleSystem(rules), RuleSystem(rules[:1])
