@@ -23,7 +23,7 @@ with `#` starting a comment.
 from __future__ import annotations
 
 from .errors import ParseError, Rejected
-from .trees import Tree, print_name_tree, record
+from .trees import Tree, record
 from .engine import Rule, RuleSystem
 
 Word = tuple[str, ...]
@@ -147,8 +147,11 @@ def derivations_of(nfa: Nfa, state: str, word: Word) -> list[Tree]:
     word = tuple(word)
     _check_inputs(nfa, state, word)
     compiled = compile_nfa(nfa)
+    # The rules tried at one node spell one letter, so their names differ
+    # only in the index, and "(" sorts below every digit: walking them by
+    # name yields the chains already sorted by their linear form.
     by_conclusion: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for name, letter, premise, conclusion in compiled.edges:
+    for name, letter, premise, conclusion in sorted(compiled.edges):
         by_conclusion.setdefault((conclusion, letter), []).append((name, premise))
     eps_name = {st: name for name, st in compiled.finals}
 
@@ -162,7 +165,7 @@ def derivations_of(nfa: Nfa, state: str, word: Word) -> list[Tree]:
             found.extend(Tree(name, (tail,)) for tail in chains(premise, rest[1:]))
         return found
 
-    return sorted(chains(state, word), key=print_name_tree)
+    return chains(state, word)
 
 
 def is_deterministic(nfa: Nfa) -> bool:

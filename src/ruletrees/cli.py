@@ -11,7 +11,8 @@ Each outcome prints one message on one stream and exits with one code:
     ResourceLimit: a recfun code longer than 14284 bits    stderr  1
       (`recfun godel` on a program, `recfun ungodel` on a code)
     syntax error: ..., usage, @FILE or file errors,        stderr  2
-      unknown state or letter, eval arity, diagonal oracle
+      unknown state or letter, duplicate rule name, eval arity,
+      diagonal oracle
 
 `run` decides every failure except eval arity and diagonal oracle errors,
 which their two handlers own.

@@ -64,33 +64,22 @@ class Rule(record("name", "arity", "fn")):
         return self.fn(*args)
 
 
-class RuleSystem:
+class RuleSystem(record("rules")):
     """A finite list of rules with distinct names, compared by `rules`."""
 
-    __slots__ = ("rules", "_by_name")
-
-    def __init__(self, rules: tuple[Rule, ...]):
+    def __new__(cls, rules: tuple[Rule, ...]):
         by_name = {}
         for rule in rules:
             if rule.name in by_name:
                 raise ValueError(f"duplicate rule name {rule.name}")
             by_name[rule.name] = rule
-        object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "_by_name", by_name)
+        self = super().__new__(cls, rules)
+        # a tuple subclass cannot have nonempty slots: the index goes in __dict__
+        self.__dict__["_by_name"] = by_name
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rules == other.rules
-
-    def __hash__(self):
-        return hash((self.rules,))
-
-    def __repr__(self) -> str:
-        return f"RuleSystem(rules={self.rules!r})"
 
     def find(self, name: str) -> Rule | None:
         return self._by_name.get(name)

@@ -526,17 +526,25 @@ def parse_term(text: str, form: str):
 
 # ------------------------------------------------- sequent derivation files
 
+_SEQUENT_TOKEN_RE = re.compile(r"\|-|" + _TOKEN_RE.pattern, re.VERBOSE)
+
+
 def parse_sequent(text: str) -> Sequent:
-    parts = text.split("|-")
-    if len(parts) != 2:
+    """Parse `P, Q |- R`: a comma-separated, possibly empty context, the
+    turnstile and a conclusion."""
+    if text.count("|-") != 1:
         raise ParseError("a sequent needs exactly one |-", 0)
-    ctx_text, concl_text = parts
+    cur = TokenCursor(tokenize(text, _SEQUENT_TOKEN_RE))
     props = []
-    stripped = ctx_text.strip()
-    if stripped:
-        for chunk in stripped.split(","):
-            props.append(parse_prop(chunk))
-    return Sequent(frozenset(props), parse_prop(concl_text))
+    if not cur.at("|-"):
+        props.append(_parse_prop(cur))
+        while cur.take(","):
+            props.append(_parse_prop(cur))
+    if not cur.take("|-"):
+        raise ParseError("unexpected trailing input", cur.peek()[2])
+    conclusion = _parse_prop(cur)
+    cur.end()
+    return Sequent(frozenset(props), conclusion)
 
 
 _TAG_RE = re.compile(r"\[([^\[\]]+)\]\s*$")

@@ -16,7 +16,12 @@ points: a composition's entry, a recursion's entry and each of its steps,
 and a minimization's entry and each of its probes.
 
 Every well-formed program has a numeric code (`godel`/`ungodel`) built
-from the pairing function (a + b)(a + b + 1)/2 + b.
+from the pairing function <a, b> = (a + b)(a + b + 1)/2 + b by one rule:
+a program codes as <tag, nest(the codes of its fields)>, with the tags
+zero 0, succ 1, proj 2, comp 3, rec 4, mu 5 and the fields in declaration
+order.  A numeral codes as itself, and comp's list of inner programs as
+<length, nest(their codes)>.  `nest` right-nests pairs and leaves the last
+code bare: nest(c) = c, nest(c, d, ...) = <c, nest(d, ...)>, nest() = 0.
 """
 
 from __future__ import annotations
@@ -228,8 +233,10 @@ def _unpair(z: int) -> tuple[int, int]:
     return w - b, b
 
 
-_TAG_ZERO, _TAG_SUCC, _TAG_PROJ, _TAG_COMP, _TAG_REC, _TAG_MU = range(6)
-
+# The numbering's one table: the constructors in tag order, each with the
+# kinds of its fields in declaration order ("n" a numeral, "p" a program,
+# "l" a nonempty list of programs).
+_CONSTRUCTORS = ((Zero, "n"), (Succ, ""), (Proj, "nn"), (Comp, "pl"), (Rec, "pp"), (Mu, "p"))
 
 # A code of at most 14 284 bits is below 2**14284 < 10**4300, so it prints in
 # at most 4 300 decimal digits: CPython's default limit for converting an int
@@ -245,40 +252,32 @@ def godel(program: Program, max_bits: int | None = None) -> int:
     return _encode(program, max_bits)
 
 
-def _bounded_pair(a: int, b: int, max_bits: int | None) -> int:
-    code = _pair(a, b)
+def _within(code: int, max_bits: int | None) -> int:
     if max_bits is not None and code.bit_length() > max_bits:
         raise ResourceLimit(f"the program's code is longer than {max_bits} bits")
     return code
 
 
-def _encode(program: Program, max_bits: int | None) -> int:
-    if isinstance(program, Zero):
-        return _bounded_pair(_TAG_ZERO, program.arity, max_bits)
-    if isinstance(program, Succ):
-        return _bounded_pair(_TAG_SUCC, 0, max_bits)
-    if isinstance(program, Proj):
-        payload = _bounded_pair(program.arity, program.index, max_bits)
-        return _bounded_pair(_TAG_PROJ, payload, max_bits)
-    if isinstance(program, Comp):
-        outer = _encode(program.outer, max_bits)
-        payload = _bounded_pair(outer, _encode_list(program.inner, max_bits), max_bits)
-        return _bounded_pair(_TAG_COMP, payload, max_bits)
-    if isinstance(program, Rec):
-        base = _encode(program.base, max_bits)
-        payload = _bounded_pair(base, _encode(program.step, max_bits), max_bits)
-        return _bounded_pair(_TAG_REC, payload, max_bits)
-    if isinstance(program, Mu):
-        return _bounded_pair(_TAG_MU, _encode(program.body, max_bits), max_bits)
-    raise TypeError(f"not a program: {program!r}")
+def _encode(value, max_bits: int | None) -> int:
+    """The code of a program, of a list of programs, or of a numeral (itself)."""
+    if not isinstance(value, (tuple, list)):
+        return value
+    # programs are tuples too, so their classes go before the list case
+    for head, (cls, _) in enumerate(_CONSTRUCTORS):
+        if isinstance(value, cls):
+            break
+    else:
+        head = len(value)
+    return _within(_pair(head, _nest(value, max_bits)), max_bits)
 
 
-def _encode_list(programs: tuple[Program, ...], max_bits: int | None) -> int:
-    # length-prefixed, then right-nested pairs with the last code bare
-    nested = _encode(programs[-1], max_bits)
-    for p in reversed(programs[:-1]):
-        nested = _bounded_pair(_encode(p, max_bits), nested, max_bits)
-    return _bounded_pair(len(programs), nested, max_bits)
+def _nest(values, max_bits: int | None) -> int:
+    """Right-nested pairs of the codes of `values`, the last bare; 0 for none."""
+    codes = [_encode(v, max_bits) for v in values]
+    code = codes.pop() if codes else 0
+    for head in reversed(codes):
+        code = _within(_pair(head, code), max_bits)
+    return code
 
 
 def ungodel(code: int, max_bits: int | None = None) -> Program:
@@ -287,9 +286,7 @@ def ungodel(code: int, max_bits: int | None = None) -> Program:
     longer than that, as `godel` does for the program it would decode to."""
     if code < 0:
         raise DecodeError("codes are nonnegative")
-    if max_bits is not None and code.bit_length() > max_bits:
-        raise ResourceLimit(f"the program's code is longer than {max_bits} bits")
-    program = _decode(code)
+    program = _decode(_within(code, max_bits))
     try:
         arity_of(program)
     except IllFormed as err:
@@ -299,38 +296,31 @@ def ungodel(code: int, max_bits: int | None = None) -> Program:
     return program
 
 
-def _decode(code: int) -> Program:
-    tag, payload = _unpair(code)
-    if tag == _TAG_ZERO:
-        return Zero(payload)
-    if tag == _TAG_SUCC:
-        if payload != 0:
-            raise DecodeError(f"successor carries no payload, got {payload}")
-        return Succ()
-    if tag == _TAG_PROJ:
-        arity, index = _unpair(payload)
-        return Proj(arity, index)
-    if tag == _TAG_COMP:
-        outer_code, list_code = _unpair(payload)
-        return Comp(_decode(outer_code), _decode_list(list_code))
-    if tag == _TAG_REC:
-        base_code, step_code = _unpair(payload)
-        return Rec(_decode(base_code), _decode(step_code))
-    if tag == _TAG_MU:
-        return Mu(_decode(payload))
-    raise DecodeError(f"unknown constructor tag {tag}")
+def _decode(code: int, kind: str = "p"):
+    """What `code` codes as a numeral ("n"), a program ("p") or a list of
+    programs ("l")."""
+    if kind == "n":
+        return code
+    head, rest = _unpair(code)
+    if kind == "l":
+        if head < 1:
+            raise DecodeError("a composition lists at least one inner program")
+        return tuple(map(_decode, _unnest(rest, head)))
+    if head >= len(_CONSTRUCTORS):
+        raise DecodeError(f"unknown constructor tag {head}")
+    cls, kinds = _CONSTRUCTORS[head]
+    if not kinds and rest != 0:  # Succ is the one constructor without fields
+        raise DecodeError(f"successor carries no payload, got {rest}")
+    return cls(*map(_decode, _unnest(rest, len(kinds)), kinds))
 
 
-def _decode_list(code: int) -> tuple[Program, ...]:
-    length, nested = _unpair(code)
-    if length < 1:
-        raise DecodeError("a composition lists at least one inner program")
-    programs = []
-    for _ in range(length - 1):
-        head, nested = _unpair(nested)
-        programs.append(_decode(head))
-    programs.append(_decode(nested))
-    return tuple(programs)
+def _unnest(code: int, n: int):
+    """The `n` codes that `_nest` paired into `code`, first to last, taken
+    apart one at a time so that decoding stops at the first bad one."""
+    for _ in range(n - 1):
+        head, code = _unpair(code)
+        yield head
+    yield code
 
 
 # --------------------------------------------------------------- text form

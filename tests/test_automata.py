@@ -232,3 +232,23 @@ def test_recognition_and_derivations_agree_with_path_counting(seed):
                 assert erase(compiled, chain) == word
                 assert infer_conclusion(compiled.system, chain) == state
                 check_full_tree(compiled.system, infer_full_tree(compiled.system, chain))
+
+
+@given(_seeds)
+def test_derivations_come_in_linear_form_order(seed):
+    # 10 to 16 rules per letter, so indices such as a10 sort between a1 and a2
+    rng = random.Random(seed)
+    states = ("s0", "s1", "s2", "s3")
+    letters = ("a", "a!", "c'")
+    pairs = list(itertools.product(states, states))
+    transitions = {
+        (source, letter, target)
+        for letter in letters
+        for source, target in rng.sample(pairs, rng.randint(10, len(pairs)))
+    }
+    finals = frozenset(state for state in states if rng.random() < 0.6)
+    machine = Nfa(frozenset(states), frozenset(letters), frozenset(transitions), finals)
+    for state in states:
+        for word in (tuple(rng.choices(letters, k=rng.randint(1, 3))) for _ in range(4)):
+            printed = [print_name_tree(t) for t in derivations_of(machine, state, word)]
+            assert printed == sorted(printed)

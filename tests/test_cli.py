@@ -108,6 +108,8 @@ def test_infer_latex(capsys):
 def test_infer_with_compiled_nfa(capsys, parity_file):
     code, out, _ = invoke(capsys, "infer", "--system", parity_file, "a1(a2(a1(eps1)))")
     assert (code, out) == (0, "odd\n")
+    code, out, _ = invoke(capsys, "infer", "--system", parity_file, "a2(eps1)")
+    assert (code, out) == (1, "rejected at root: rule a2 is undefined at (even)\n")
 
 
 # --------------------------------------------------------------------- natded
@@ -317,6 +319,34 @@ def test_nfa_rules(capsys, parity_file):
         "erase a2 = a\n"
         'erase eps1 = ""\n'
     )
+
+
+# a letter named eps makes a rule eps1, as does the first final state
+EPS_LETTER_TEXT = "state s0\nletter eps\ntrans s0 eps s0\nfinal s0\n"
+# eleven `a` transitions make a rule a11, as does the first `a1` transition
+A11_TEXT = (
+    "state s0\nstate s1\nstate s2\nstate s3\nletter a\nletter a1\nfinal s0\n"
+    + "".join(f"trans s{i // 4} a s{i % 4}\n" for i in range(11))
+    + "trans s0 a1 s0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, word, name",
+    [(EPS_LETTER_TEXT, "eps,", "eps1"), (A11_TEXT, "a1,", "a11")],
+    ids=["eps-letter", "a-and-a1"],
+)
+def test_colliding_rule_names_stop_compiling_but_not_running(capsys, tmp_path, text, word, name):
+    path = tmp_path / "clash.nfa"
+    path.write_text(text)
+    for argv in (
+        ["nfa", "rules", str(path)],
+        ["nfa", "derivations", str(path), "--state", "s0", "--word", word],
+        ["infer", "--system", str(path), "eps1"],
+    ):
+        assert invoke(capsys, *argv) == (2, "", f"duplicate rule name {name}\n")
+    code, out, _ = invoke(capsys, "nfa", "run", str(path), "--state", "s0", "--word", word)
+    assert (code, out) == (0, "recognized\n")
 
 
 # ------------------------------------------------------------------- plumbing

@@ -10,6 +10,7 @@ from ruletrees.engine import (
     DEFAULT_MAX_SET_SIZE,
     Rule,
     RuleSystem,
+    RuleUndefined,
     UnknownRuleName,
     check_elem_tree,
     check_full_tree,
@@ -197,6 +198,19 @@ def test_infer_runs_trees_bottom_up():
     assert info.value.path == (0,)
     with pytest.raises(ArityMismatch):
         infer_conclusion(EVEN, parse_name_tree("f2(f1(f1))"))
+
+
+def test_a_rule_used_where_it_is_undefined_is_rejected():
+    halving = RuleSystem(
+        (Rule("z", 0, lambda: 4), Rule("h", 1, lambda n: n // 2 if n % 2 == 0 else None))
+    )
+    assert infer_conclusion(halving, parse_name_tree("h(h(z))")) == 1
+    with pytest.raises(RuleUndefined) as info:
+        infer_conclusion(halving, parse_name_tree("h(h(h(z)))"))
+    assert (info.value.path, info.value.reason) == ((), "rule h is undefined at (1)")
+    with pytest.raises(RuleUndefined) as info:
+        check_full_tree(halving, Tree((1, "h"), (Tree((2, "h"), (Tree((5, "z")),)),)))
+    assert (info.value.path, info.value.reason) == ((0,), "rule h is undefined at (5)")
 
 
 def test_erasures_project_labelings():

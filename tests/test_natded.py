@@ -90,6 +90,21 @@ def test_parse_sequent():
         nd.parse_sequent("P |- Q |- R")
 
 
+@pytest.mark.parametrize(
+    "text, position, message",
+    [
+        ("P, Q @ |- R", 5, "unexpected character '@'"),
+        ("P |- Q @", 7, "unexpected character '@'"),
+        ("P,,Q |- R", 2, "expected a proposition"),
+        ("P (|- Q", 2, "unexpected trailing input"),
+    ],
+)
+def test_parse_sequent_errors_count_from_the_start_of_the_input(text, position, message):
+    with pytest.raises(ParseError) as info:
+        nd.parse_sequent(text)
+    assert (info.value.position, info.value.message) == (position, message)
+
+
 def test_print_sequent_sorts_context():
     assert nd.print_sequent(nd.Sequent(frozenset({Q, P}), R)) == "P, Q |- R"
     assert nd.print_sequent(SWAP_SEQ) == "|- P /\\ Q => Q /\\ P"

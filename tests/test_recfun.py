@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from math import isqrt
 
@@ -291,12 +292,19 @@ def test_unpairing_inverts_pairing(z):
     assert rf._pair(a, b) == z
 
 
+class _Int(int):
+    pass
+
+
 def test_code_values():
     assert rf.godel(rf.Zero(0)) == 0
     assert rf.godel(rf.Succ()) == 1
     assert rf.godel(rf.Zero(1)) == 2
     assert rf.godel(rf.Proj(1, 1)) == 25
     assert rf.godel(ADD_TWO) == 272
+    # inner programs given as a list, and a numeral of an int subclass
+    assert rf.godel(rf.Comp(rf.Succ(), [rf.Succ()])) == 272
+    assert rf.godel(rf.Proj(_Int(1), _Int(1))) == 25
 
 
 def test_codes_decode_back():
@@ -332,7 +340,15 @@ def test_ill_formed_programs_have_no_code():
     ],
 )
 def test_numbers_that_code_nothing(code):
-    with pytest.raises(rf.DecodeError):
+    message = {
+        -1: "codes are nonnegative",
+        21: "unknown constructor tag 6",
+        26: "successor carries no payload, got 5",
+        12: "decodes to an ill-formed program "
+        "(projection index 1 out of range for arity 0 at root)",
+        6: "a composition lists at least one inner program",
+    }[code]
+    with pytest.raises(rf.DecodeError, match=f"^{re.escape(message)}$"):
         rf.ungodel(code)
 
 
