@@ -20,7 +20,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable
 
 from .errors import ArityMismatch, Rejected, ResourceLimit
-from .trees import NAME_RE, Tree, record
+from .trees import NAME_RE, Tree, check_nodes, record
 
 Element = Any
 
@@ -255,35 +255,38 @@ def check_elem_tree(system: RuleSystem, tree: Tree) -> None:
 
     Raises Rejected at the first failing node in preorder.
     """
-    for path, node in tree.nodes():
+
+    def check(node: Tree) -> None:
         child_elems = tuple(c.label for c in node.children)
         if not any(
             rule.arity == len(child_elems) and rule.apply(child_elems) == node.label
             for rule in system.rules
         ):
             raise Rejected(
-                path,
+                (),
                 f"no rule derives {render_element(node.label)} from "
                 f"({', '.join(render_element(e) for e in child_elems)})",
             )
 
+    check_nodes(tree, check)
 
-def _apply_named(system: RuleSystem, name: str, child_elems: tuple, path: tuple[int, ...]):
-    """The element the rule called `name` derives from `child_elems` at the
-    node `path`; raises UnknownRuleName, ArityMismatch or RuleUndefined."""
+
+def _apply_named(system: RuleSystem, name: str, child_elems: tuple):
+    """The element the rule called `name` derives from `child_elems`;
+    raises UnknownRuleName, ArityMismatch or RuleUndefined at the root."""
     rule = system.find(name)
     if rule is None:
-        raise UnknownRuleName(path, f"unknown rule {name}")
+        raise UnknownRuleName((), f"unknown rule {name}")
     if rule.arity != len(child_elems):
         raise ArityMismatch(
-            path,
+            (),
             f"rule {name} expects {rule.arity} premise(s), "
             f"node has {len(child_elems)}",
         )
     result = rule.apply(child_elems)
     if result is None:
         raise RuleUndefined(
-            path,
+            (),
             f"rule {name} is undefined at "
             f"({', '.join(render_element(e) for e in child_elems)})",
         )
@@ -296,26 +299,35 @@ def check_full_tree(system: RuleSystem, tree: Tree) -> None:
     The named rule must be defined at the children's elements and yield
     the node's element.  Raises at the first failing node in preorder.
     """
-    for path, node in tree.nodes():
+
+    def check(node: Tree) -> None:
         element, name = node.label
-        result = _apply_named(system, name, tuple(c.label[0] for c in node.children), path)
+        result = _apply_named(system, name, tuple(c.label[0] for c in node.children))
         if result != element:
             raise Rejected(
-                path,
+                (),
                 f"rule {name} yields {render_element(result)}, "
                 f"node is labeled {render_element(element)}",
             )
+
+    check_nodes(tree, check)
 
 
 def infer_full_tree(system: RuleSystem, name_tree: Tree) -> Tree:
     """Run a name-labeled tree bottom-up, attaching the element each node derives."""
 
-    def go(node: Tree, path: tuple[int, ...]) -> Tree:
-        children = tuple(go(c, path + (i,)) for i, c in enumerate(node.children))
-        result = _apply_named(system, node.label, tuple(c.label[0] for c in children), path)
-        return Tree((result, node.label), children)
+    def go(node: Tree) -> Tree:
+        children = []
+        try:
+            for child in node.children:
+                children.append(go(child))
+        except Rejected as err:
+            err.path = (len(children), *err.path)
+            raise
+        result = _apply_named(system, node.label, tuple(c.label[0] for c in children))
+        return Tree((result, node.label), tuple(children))
 
-    return go(name_tree, ())
+    return go(name_tree)
 
 
 def infer_conclusion(system: RuleSystem, name_tree: Tree) -> Element:

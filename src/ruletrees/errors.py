@@ -1,7 +1,9 @@
 """Error types shared across the package.
 
 Checking failures always point at a node: the path is the sequence of
-child indices from the root, so () is the root itself.
+child indices from the root, so () is the root itself.  Walks build it
+only once a node fails: each recursive frame the error passes puts its
+child index in front, and `trees.check_nodes` finds the node again.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ def format_path(path: tuple[int, ...]) -> str:
 class ParseError(ValueError):
     """A linear form or a file failed to parse.
 
-    `position` is a character offset into the input: where the failing
-    token starts (all linear forms share `trees.tokenize`), or the input's
-    length at its end.  Line-oriented files give a line number instead.
-    `message` is the text without the position.
+    `position` is a character offset into the input, computed when the
+    error is raised: where the failing token starts (all linear forms
+    share `trees.tokenize`), or the input's length at its end.
+    Line-oriented files give a line number instead.  `message` is the
+    text without the position.
     """
 
     def __init__(self, message: str, position: int = 0):
@@ -32,9 +35,12 @@ class Rejected(Exception):
     """A tree, term, or program failed a check at the node given by `path`."""
 
     def __init__(self, path: tuple[int, ...], reason: str):
-        super().__init__(f"at {format_path(tuple(path))}: {reason}")
+        super().__init__(reason)
         self.path = tuple(path)
         self.reason = reason
+
+    def __str__(self) -> str:
+        return f"at {format_path(self.path)}: {self.reason}"
 
 
 class ArityMismatch(Rejected):

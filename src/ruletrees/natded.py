@@ -28,7 +28,7 @@ import re
 from typing import Iterable, Union
 
 from .errors import ParseError, Rejected
-from .trees import TokenCursor, Tree, record, tokenize
+from .trees import TokenCursor, Tree, check_nodes, record
 
 
 # ---------------------------------------------------------------- propositions
@@ -197,15 +197,18 @@ def check_sequent_deriv(tree: Tree) -> None:
     untagged node may be justified by any of the five.  Raises Rejected
     at the first failing node in preorder.
     """
-    for path, node in tree.nodes():
+
+    def check(node: Tree) -> None:
         seq, name = split_label(node.label)
         premises = tuple(split_label(c.label)[0] for c in node.children)
         if name is not None:
             reason = _rule_matches(name, seq, premises)
             if reason is not None:
-                raise Rejected(path, reason)
+                raise Rejected((), reason)
         elif all(_rule_matches(r, seq, premises) is not None for r in ND_RULES):
-            raise Rejected(path, f"no rule justifies {print_sequent(seq)}")
+            raise Rejected((), f"no rule justifies {print_sequent(seq)}")
+
+    check_nodes(tree, check)
 
 
 # ----------------------------------------------------- scheme and var checking
@@ -218,19 +221,14 @@ def scheme_sequent_tree(term: Term, root_ctx: Iterable[Prop] = ()) -> Tree:
     (HypNotInContext, ContextMismatch, UnboundVariable, or ShapeMismatch)
     at the offending node.
     """
-    return _sequent_node(term, frozenset(root_ctx), (), ())
+    return _sequent_node(term, frozenset(root_ctx), ())
 
 
-def _sequent_node(
-    term: Term,
-    ctx: frozenset,
-    binders: tuple[tuple[str, Prop], ...],
-    path: tuple[int, ...],
-) -> Tree:
+def _sequent_node(term: Term, ctx: frozenset, binders: tuple[tuple[str, Prop], ...]) -> Tree:
     if isinstance(term, Hyp):
         if term.prop not in ctx:
             raise HypNotInContext(
-                path,
+                (),
                 f"hypothesis {print_prop(term.prop)} is not in the context "
                 f"{render_context(ctx)}",
             )
@@ -239,7 +237,7 @@ def _sequent_node(
         expected = term.ctx | {term.prop}
         if ctx != expected:
             raise ContextMismatch(
-                path,
+                (),
                 f"axiom carries context {render_context(expected)} but sits "
                 f"under {render_context(ctx)}",
             )
@@ -248,30 +246,34 @@ def _sequent_node(
         for name, prop in reversed(binders):
             if name == term.name:
                 return Tree((Sequent(ctx, prop), AXIOM))
-        raise UnboundVariable(path, f"variable {term.name} is not bound")
-    if isinstance(term, (Lam, LamV)):
-        if isinstance(term, LamV):
-            binders += ((term.name, term.prop),)
-        body = _sequent_node(term.body, ctx | {term.prop}, binders, path + (0,))
-        concl = Imp(term.prop, body.label[0].concl)
-        return Tree((Sequent(ctx, concl), IMP_INTRO), (body,))
-    if isinstance(term, Pair):
-        left = _sequent_node(term.left, ctx, binders, path + (0,))
-        right = _sequent_node(term.right, ctx, binders, path + (1,))
-        concl = And(left.label[0].concl, right.label[0].concl)
-        return Tree((Sequent(ctx, concl), AND_INTRO), (left, right))
-    if isinstance(term, (Fst, Snd)):
-        body = _sequent_node(term.body, ctx, binders, path + (0,))
-        got = body.label[0].concl
-        if not isinstance(got, And):
-            which = "fst" if isinstance(term, Fst) else "snd"
-            raise ShapeMismatch(
-                path, f"{which} needs a conjunction, got {print_prop(got)}"
-            )
-        if isinstance(term, Fst):
-            return Tree((Sequent(ctx, got.left), AND_ELIM1), (body,))
-        return Tree((Sequent(ctx, got.right), AND_ELIM2), (body,))
-    raise TypeError(f"not a proof term: {term!r}")
+        raise UnboundVariable((), f"variable {term.name} is not bound")
+    at = 0  # the index of the subterm checked, for the path of its Rejected
+    try:
+        if isinstance(term, (Lam, LamV)):
+            if isinstance(term, LamV):
+                binders += ((term.name, term.prop),)
+            body = _sequent_node(term.body, ctx | {term.prop}, binders)
+            concl = Imp(term.prop, body.label[0].concl)
+            return Tree((Sequent(ctx, concl), IMP_INTRO), (body,))
+        if isinstance(term, Pair):
+            left = _sequent_node(term.left, ctx, binders)
+            at = 1
+            right = _sequent_node(term.right, ctx, binders)
+            concl = And(left.label[0].concl, right.label[0].concl)
+            return Tree((Sequent(ctx, concl), AND_INTRO), (left, right))
+        if not isinstance(term, (Fst, Snd)):
+            raise TypeError(f"not a proof term: {term!r}")
+        body = _sequent_node(term.body, ctx, binders)
+    except Rejected as err:
+        err.path = (at, *err.path)
+        raise
+    got = body.label[0].concl
+    if not isinstance(got, And):
+        which = "fst" if isinstance(term, Fst) else "snd"
+        raise ShapeMismatch((), f"{which} needs a conjunction, got {print_prop(got)}")
+    if isinstance(term, Fst):
+        return Tree((Sequent(ctx, got.left), AND_ELIM1), (body,))
+    return Tree((Sequent(ctx, got.right), AND_ELIM2), (body,))
 
 
 def check_scheme(term: Term, root_ctx: Iterable[Prop] = ()) -> Sequent:
@@ -293,53 +295,58 @@ def scheme_to_var(term: SchemeTerm) -> VarTerm:
     """
     counter = itertools.count(1)
 
-    def go(t: SchemeTerm, binders: tuple[tuple[str, Prop], ...], path) -> VarTerm:
+    def go(t: SchemeTerm, binders: tuple[tuple[str, Prop], ...]) -> VarTerm:
         if isinstance(t, Hyp):
             for name, prop in reversed(binders):
                 if prop == t.prop:
                     return Var(name)
-            raise NoMatchingBinder(
-                path, f"no enclosing binder proves {print_prop(t.prop)}"
-            )
+            raise NoMatchingBinder((), f"no enclosing binder proves {print_prop(t.prop)}")
         if isinstance(t, HypFull):
-            raise NoMatchingBinder(
-                path, "an axiom with an explicit context names no binder"
-            )
-        if isinstance(t, Lam):
-            name = f"x{next(counter)}"
-            body = go(t.body, binders + ((name, t.prop),), path + (0,))
-            return LamV(name, t.prop, body)
-        if isinstance(t, Pair):
-            return Pair(go(t.left, binders, path + (0,)), go(t.right, binders, path + (1,)))
-        if isinstance(t, Fst):
-            return Fst(go(t.body, binders, path + (0,)))
-        if isinstance(t, Snd):
-            return Snd(go(t.body, binders, path + (0,)))
+            raise NoMatchingBinder((), "an axiom with an explicit context names no binder")
+        at = 0  # as in _sequent_node
+        try:
+            if isinstance(t, Lam):
+                name = f"x{next(counter)}"
+                return LamV(name, t.prop, go(t.body, binders + ((name, t.prop),)))
+            if isinstance(t, Pair):
+                left = go(t.left, binders)
+                at = 1
+                return Pair(left, go(t.right, binders))
+            if isinstance(t, (Fst, Snd)):
+                return type(t)(go(t.body, binders))
+        except Rejected as err:
+            err.path = (at, *err.path)
+            raise
         raise TypeError(f"not a scheme term: {t!r}")
 
-    return go(term, (), ())
+    return go(term, ())
 
 
 def var_to_scheme(term: VarTerm) -> SchemeTerm:
     """Forget binder names, keeping only the propositions they prove."""
 
-    def go(t: VarTerm, binders: tuple[tuple[str, Prop], ...], path) -> SchemeTerm:
+    def go(t: VarTerm, binders: tuple[tuple[str, Prop], ...]) -> SchemeTerm:
         if isinstance(t, Var):
             for name, prop in reversed(binders):
                 if name == t.name:
                     return Hyp(prop)
-            raise UnboundVariable(path, f"variable {t.name} is not bound")
-        if isinstance(t, LamV):
-            return Lam(t.prop, go(t.body, binders + ((t.name, t.prop),), path + (0,)))
-        if isinstance(t, Pair):
-            return Pair(go(t.left, binders, path + (0,)), go(t.right, binders, path + (1,)))
-        if isinstance(t, Fst):
-            return Fst(go(t.body, binders, path + (0,)))
-        if isinstance(t, Snd):
-            return Snd(go(t.body, binders, path + (0,)))
+            raise UnboundVariable((), f"variable {t.name} is not bound")
+        at = 0  # as in _sequent_node
+        try:
+            if isinstance(t, LamV):
+                return Lam(t.prop, go(t.body, binders + ((t.name, t.prop),)))
+            if isinstance(t, Pair):
+                left = go(t.left, binders)
+                at = 1
+                return Pair(left, go(t.right, binders))
+            if isinstance(t, (Fst, Snd)):
+                return type(t)(go(t.body, binders))
+        except Rejected as err:
+            err.path = (at, *err.path)
+            raise
         raise TypeError(f"not a variable term: {t!r}")
 
-    return go(term, (), ())
+    return go(term, ())
 
 
 # -------------------------------------------------------------------- printing
@@ -407,48 +414,47 @@ def print_term(term: Term) -> str:
 # --------------------------------------------------------------------- parsing
 
 _TOKEN_RE = re.compile(
-    r"""(?P<and>/\\)
-      | (?P<imp>=>)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    r"""/\\
+      | =>
+      | [A-Za-z_][A-Za-z0-9_]*
       | [()\[\]{}<>,|:.]
-      | (?P<bad>\S)
     """,
     re.VERBOSE,
-)
+)  # identifiers are the one kind of token that `str.isidentifier` accepts
 
 _RESERVED = {"fun", "hyp", "axiom", "fst", "snd"}
 
 
 def _parse_prop(cur: TokenCursor) -> Prop:
     left = _parse_conj(cur)
-    if cur.take("imp"):
+    if cur.take("=>"):
         return Imp(left, _parse_prop(cur))
     return left
 
 
 def _parse_conj(cur: TokenCursor) -> Prop:
     left = _parse_prop_atom(cur)
-    if cur.take("and"):
+    if cur.take("/\\"):
         return And(left, _parse_conj(cur))
     return left
 
 
 def _parse_prop_atom(cur: TokenCursor) -> Prop:
     token = cur.peek()
-    if token[0] == "ident":
-        if token[1] in _RESERVED:
-            raise ParseError(f"{token[1]} is reserved", token[2])
+    if token.isidentifier():
+        if token in _RESERVED:
+            cur.fail(f"{token} is reserved")
         cur.next()
-        return Atom(token[1])
+        return Atom(token)
     if cur.take("("):
         prop = _parse_prop(cur)
         cur.expect(")", "')'")
         return prop
-    raise ParseError("expected a proposition", token[2])
+    cur.fail("expected a proposition")
 
 
 def parse_prop(text: str) -> Prop:
-    cur = TokenCursor(tokenize(text, _TOKEN_RE))
+    cur = TokenCursor(text, _TOKEN_RE)
     prop = _parse_prop(cur)
     cur.end()
     return prop
@@ -456,33 +462,36 @@ def parse_prop(text: str) -> Prop:
 
 def _parse_term(cur: TokenCursor, form: str):
     token = cur.peek()
-    if token[0] == "ident" and token[1] == "fun":
+    if token == "fun":
         cur.next()
         if form == "scheme":
             cur.expect("[", "'['")
             prop = _parse_prop(cur)
             cur.expect("]", "']'")
             return Lam(prop, _parse_term(cur, form))
-        name = cur.expect("ident", "a variable name")
-        if name[1] in _RESERVED:
-            raise ParseError(f"{name[1]} is reserved", name[2])
+        name = cur.peek()
+        if not name.isidentifier():
+            cur.fail("expected a variable name")
+        if name in _RESERVED:
+            cur.fail(f"{name} is reserved")
+        cur.next()
         cur.expect(":", "':'")
         prop = _parse_prop(cur)
         cur.expect(".", "'.'")
-        return LamV(name[1], prop, _parse_term(cur, form))
-    if token[0] == "ident" and token[1] in ("hyp", "axiom") and form != "scheme":
-        raise ParseError(f"{token[1]} occurs only in scheme terms", token[2])
-    if token[0] == "ident" and token[1] == "hyp":
+        return LamV(name, prop, _parse_term(cur, form))
+    if token in ("hyp", "axiom") and form != "scheme":
+        cur.fail(f"{token} occurs only in scheme terms")
+    if token == "hyp":
         cur.next()
         cur.expect("[", "'['")
         prop = _parse_prop(cur)
         cur.expect("]", "']'")
         return Hyp(prop)
-    if token[0] == "ident" and token[1] == "axiom":
+    if token == "axiom":
         cur.next()
         cur.expect("{", "'{'")
         ctx = []
-        if not cur.at("|"):
+        if cur.peek() != "|":
             ctx.append(_parse_prop(cur))
             while cur.take(","):
                 ctx.append(_parse_prop(cur))
@@ -490,12 +499,12 @@ def _parse_term(cur: TokenCursor, form: str):
         prop = _parse_prop(cur)
         cur.expect("}", "'}'")
         return HypFull(frozenset(ctx), prop)
-    if token[0] == "ident" and token[1] in ("fst", "snd"):
+    if token in ("fst", "snd"):
         cur.next()
         cur.expect("(", "'('")
         body = _parse_term(cur, form)
         cur.expect(")", "')'")
-        return Fst(body) if token[1] == "fst" else Snd(body)
+        return Fst(body) if token == "fst" else Snd(body)
     if cur.take("<"):
         left = _parse_term(cur, form)
         cur.expect(",", "','")
@@ -506,19 +515,19 @@ def _parse_term(cur: TokenCursor, form: str):
         term = _parse_term(cur, form)
         cur.expect(")", "')'")
         return term
-    if token[0] == "ident":
+    if token.isidentifier():
         if form != "var":
-            raise ParseError("bare variables occur only in var terms", token[2])
+            cur.fail("bare variables occur only in var terms")
         cur.next()
-        return Var(token[1])
-    raise ParseError("expected a term", token[2])
+        return Var(token)
+    cur.fail("expected a term")
 
 
 def parse_term(text: str, form: str):
     """Parse a proof term; `form` selects the scheme or var syntax."""
     if form not in ("scheme", "var"):
         raise ValueError(f"unknown term form {form!r}")
-    cur = TokenCursor(tokenize(text, _TOKEN_RE))
+    cur = TokenCursor(text, _TOKEN_RE)
     term = _parse_term(cur, form)
     cur.end()
     return term
@@ -534,14 +543,14 @@ def parse_sequent(text: str) -> Sequent:
     turnstile and a conclusion."""
     if text.count("|-") != 1:
         raise ParseError("a sequent needs exactly one |-", 0)
-    cur = TokenCursor(tokenize(text, _SEQUENT_TOKEN_RE))
+    cur = TokenCursor(text, _SEQUENT_TOKEN_RE)
     props = []
-    if not cur.at("|-"):
+    if cur.peek() != "|-":
         props.append(_parse_prop(cur))
         while cur.take(","):
             props.append(_parse_prop(cur))
     if not cur.take("|-"):
-        raise ParseError("unexpected trailing input", cur.peek()[2])
+        cur.fail("unexpected trailing input")
     conclusion = _parse_prop(cur)
     cur.end()
     return Sequent(frozenset(props), conclusion)

@@ -36,11 +36,10 @@ from .errors import (
     ArityMismatch,
     DecodeError,
     IllFormed,
-    ParseError,
     ResourceLimit,
     format_path,
 )
-from .trees import TokenCursor, Tree, record, tokenize
+from .trees import TokenCursor, Tree, record
 
 
 class Zero(record("arity")):
@@ -80,10 +79,15 @@ class Mu(record("body")):
 Program = Union[Zero, Succ, Proj, Comp, Rec, Mu]
 
 
-def arity_of(program: Program, _path: tuple[int, ...] = ()) -> int:
+def arity_of(program: Program) -> int:
     """Number of arguments the program takes; raises IllFormed with the
     path of the offending subprogram."""
-    return _compile(program, None, _path)[1]
+    return _compile(program, None)[1]
+
+
+def _subprograms(program: Comp | Rec | Mu) -> tuple:
+    """A combinator's subprograms in path order, a composition's outer one first."""
+    return (program.outer, *program.inner) if isinstance(program, Comp) else program
 
 
 class _Exhausted(Exception):
@@ -97,36 +101,41 @@ class _Budget:
         self.remaining = amount
 
 
-def _compile(program: Program, budget: _Budget | None, path: tuple[int, ...]):
+def _compile(program: Program, budget: _Budget | None):
     """Check a program's arities and build the closure that runs it on a
     budget, in one walk: (run, arity).  Raises IllFormed where it fails."""
     if isinstance(program, Zero):
         if program.arity < 0:
-            raise IllFormed(path, "zero takes a nonnegative arity")
+            raise IllFormed((), "zero takes a nonnegative arity")
         return (lambda args: 0), program.arity
     if isinstance(program, Succ):
         return (lambda args: args[0] + 1), 1
     if isinstance(program, Proj):
         if not 1 <= program.index <= program.arity:
             raise IllFormed(
-                path,
+                (),
                 f"projection index {program.index} out of range for arity {program.arity}",
             )
         return itemgetter(program.index - 1), program.arity
     if isinstance(program, Comp):
         if not program.inner:
-            raise IllFormed(path, "composition needs at least one inner program")
-        outer, outer_arity = _compile(program.outer, budget, path + (0,))
-        pairs = enumerate(program.inner, 1)
-        inners, arities = zip(*[_compile(g, budget, path + (i,)) for i, g in pairs])
+            raise IllFormed((), "composition needs at least one inner program")
+    elif not isinstance(program, (Rec, Mu)):
+        raise TypeError(f"not a program: {program!r}")
+    parts = []
+    try:
+        for sub in _subprograms(program):
+            parts.append(_compile(sub, budget))
+    except IllFormed as err:
+        err.path = (len(parts), *err.path)
+        raise
+    if isinstance(program, Comp):
+        (outer, outer_arity), *rest = parts
+        inners, arities = zip(*rest)
         if len(set(arities)) != 1:
-            raise IllFormed(path, "inner programs disagree on arity")
+            raise IllFormed((), "inner programs disagree on arity")
         if outer_arity != len(program.inner):
-            raise IllFormed(
-                path,
-                f"outer program takes {outer_arity} argument(s) "
-                f"but {len(program.inner)} inner program(s) are given",
-            )
+            raise _comp_mismatch(outer_arity, len(program.inner))
         if len(inners) == 1:
             (g,) = inners
             def run(args):
@@ -142,11 +151,10 @@ def _compile(program: Program, budget: _Budget | None, path: tuple[int, ...]):
                 return outer(tuple([g(args) for g in inners]))
         return run, arities[0]
     if isinstance(program, Rec):
-        base, base_arity = _compile(program.base, budget, path + (0,))
-        step, step_arity = _compile(program.step, budget, path + (1,))
+        (base, base_arity), (step, step_arity) = parts
         if step_arity != base_arity + 2:
             raise IllFormed(
-                path,
+                (),
                 f"recursion step takes {step_arity} argument(s), "
                 f"needs {base_arity + 2}",
             )
@@ -164,23 +172,26 @@ def _compile(program: Program, budget: _Budget | None, path: tuple[int, ...]):
                 acc = step((j, acc) + rest)
             return acc
         return run, base_arity + 1
-    if isinstance(program, Mu):
-        body, body_arity = _compile(program.body, budget, path + (0,))
-        if body_arity < 1:
-            raise IllFormed(path, "minimization needs a body of arity at least 1")
+    ((body, body_arity),) = parts
+    if body_arity < 1:
+        raise IllFormed((), "minimization needs a body of arity at least 1")
 
-        def run(args):
+    def run(args):
+        if budget.remaining <= 0:
+            raise _Exhausted
+        budget.remaining -= 1
+        for y in count():
             if budget.remaining <= 0:
                 raise _Exhausted
             budget.remaining -= 1
-            for y in count():
-                if budget.remaining <= 0:
-                    raise _Exhausted
-                budget.remaining -= 1
-                if body(args + (y,)) == 0:
-                    return y
-        return run, body_arity - 1
-    raise TypeError(f"not a program: {program!r}")
+            if body(args + (y,)) == 0:
+                return y
+    return run, body_arity - 1
+
+
+def _comp_mismatch(outer_arity: int, count: int) -> IllFormed:
+    message = f"outer program takes {outer_arity} argument(s) but {count} inner"
+    return IllFormed((), message + " program(s) are given")
 
 
 def evaluate(
@@ -195,7 +206,7 @@ def evaluate(
     if fuel < 1:
         raise ValueError("fuel must be positive")
     budget = _Budget(fuel)
-    run, arity = _compile(program, budget, ())
+    run, arity = _compile(program, budget)
     args = tuple(args)
     if len(args) != arity:
         raise ArityMismatch(
@@ -286,8 +297,8 @@ def ungodel(code: int, max_bits: int | None = None) -> Program:
     longer than that, as `godel` does for the program it would decode to."""
     if code < 0:
         raise DecodeError("codes are nonnegative")
-    program = _decode(_within(code, max_bits))
     try:
+        program = _decode(_within(code, max_bits))
         arity_of(program)
     except IllFormed as err:
         raise DecodeError(
@@ -296,22 +307,60 @@ def ungodel(code: int, max_bits: int | None = None) -> Program:
     return program
 
 
-def _decode(code: int, kind: str = "p"):
-    """What `code` codes as a numeral ("n"), a program ("p") or a list of
-    programs ("l")."""
+def _decode(code: int, kind: str = "p", outer: Program | None = None):
+    """What `code` codes as a numeral ("n"), a program ("p") or the inner
+    programs ("l") of a composition around `outer`.
+
+    A list's length is checked against the outer program's arity before
+    its items are decoded, since they take time in that length.  An
+    IllFormed raised for a list has its path from the composition.
+    """
     if kind == "n":
         return code
     head, rest = _unpair(code)
     if kind == "l":
         if head < 1:
             raise DecodeError("a composition lists at least one inner program")
-        return tuple(map(_decode, _unnest(rest, head)))
+        if head != _spine_arity(outer):
+            try:
+                arity = arity_of(outer)
+            except IllFormed as err:
+                err.path = (0, *err.path)
+                raise
+            raise _comp_mismatch(arity, head)
+        inner = []
+        try:
+            for item in _unnest(rest, head):
+                inner.append(_decode(item))
+        except IllFormed as err:
+            err.path = (len(inner) + 1, *err.path)
+            raise
+        return tuple(inner)
     if head >= len(_CONSTRUCTORS):
         raise DecodeError(f"unknown constructor tag {head}")
     cls, kinds = _CONSTRUCTORS[head]
     if not kinds and rest != 0:  # Succ is the one constructor without fields
         raise DecodeError(f"successor carries no payload, got {rest}")
-    return cls(*map(_decode, _unnest(rest, len(kinds)), kinds))
+    fields = []
+    for field, kind in zip(_unnest(rest, len(kinds)), kinds):
+        try:
+            fields.append(_decode(field, kind, *fields[:1]))  # a list follows its outer
+        except IllFormed as err:
+            if kind == "p":  # a list's paths already start at the composition
+                err.path = (len(fields), *err.path)
+            raise
+    return cls(*fields)
+
+
+def _spine_arity(program: Program) -> int:
+    """What `arity_of` gives a well-formed program, read down its spine alone."""
+    if isinstance(program, (Zero, Proj)):
+        return program.arity
+    if isinstance(program, Comp):
+        return _spine_arity(program.inner[0])
+    if isinstance(program, Succ):
+        return 1
+    return _spine_arity(program[0]) + (1 if isinstance(program, Rec) else -1)
 
 
 def _unnest(code: int, n: int):
@@ -342,7 +391,7 @@ def print_program(program: Program) -> str:
     raise TypeError(f"not a program: {program!r}")
 
 
-_PROGRAM_TOKEN_RE = re.compile(r"(?P<word>[^\s(),;]+)|[(),;]")
+_PROGRAM_TOKEN_RE = re.compile(r"[^\s(),;]+|[(),;]")
 
 _BASE_NAME_RE = re.compile(r"zero\^([0-9]+)|succ|proj\^([0-9]+)_([0-9]+)")
 
@@ -363,19 +412,20 @@ def _base_program(name: str) -> Program | None:
 def parse_program(text: str) -> Program:
     """Parse the linear form.  Structure only: arity violations are left
     to `arity_of`."""
-    cur = TokenCursor(tokenize(text, _PROGRAM_TOKEN_RE))
+    cur = TokenCursor(text, _PROGRAM_TOKEN_RE)
     program = _parse_prog(cur)
     cur.end()
     return program
 
 
 def _parse_prog(cur: TokenCursor) -> Program:
-    _, word, pos = cur.next()
+    word = cur.peek()
     program = _base_program(word)
+    if program is None and word not in ("comp", "rec", "mu"):
+        cur.fail("expected zero^N, succ, proj^N_I, comp, rec, or mu")
+    cur.next()
     if program is not None:
         return program
-    if word not in ("comp", "rec", "mu"):
-        raise ParseError("expected zero^N, succ, proj^N_I, comp, rec, or mu", pos)
     cur.expect("(", "'('")
     first = _parse_prog(cur)
     if word == "comp":
@@ -401,21 +451,13 @@ def program_to_name_tree(program: Program) -> Tree:
     nodes named comp, rec, mu."""
     if isinstance(program, (Zero, Succ, Proj)):
         return Tree(print_program(program))
-    if isinstance(program, Comp):
-        children = (program_to_name_tree(program.outer),) + tuple(
-            program_to_name_tree(g) for g in program.inner
-        )
-        return Tree("comp", children)
-    if isinstance(program, Rec):
-        return Tree(
-            "rec", (program_to_name_tree(program.base), program_to_name_tree(program.step))
-        )
-    if isinstance(program, Mu):
-        return Tree("mu", (program_to_name_tree(program.body),))
-    raise TypeError(f"not a program: {program!r}")
+    if not isinstance(program, (Comp, Rec, Mu)):
+        raise TypeError(f"not a program: {program!r}")
+    name = type(program).__name__.lower()
+    return Tree(name, tuple(map(program_to_name_tree, _subprograms(program))))
 
 
-def name_tree_to_program(tree: Tree, _path: tuple[int, ...] = ()) -> Program:
+def name_tree_to_program(tree: Tree) -> Program:
     """Invert `program_to_name_tree`; raises IllFormed on names or child
     counts that fit no constructor."""
     name = tree.label
@@ -423,26 +465,23 @@ def name_tree_to_program(tree: Tree, _path: tuple[int, ...] = ()) -> Program:
     program = _base_program(name)
     if program is not None:
         if kids:
-            raise IllFormed(_path, f"{name.partition('^')[0]} takes no children")
+            raise IllFormed((), f"{name.partition('^')[0]} takes no children")
         return program
+    if name == "comp" and len(kids) < 2:
+        raise IllFormed((), "comp takes an outer and at least one inner child")
+    if name == "rec" and len(kids) != 2:
+        raise IllFormed((), "rec takes exactly two children")
+    if name == "mu" and len(kids) != 1:
+        raise IllFormed((), "mu takes exactly one child")
+    if name not in ("comp", "rec", "mu"):
+        raise IllFormed((), f"unknown program name {name}")
+    subs = []
+    try:
+        for kid in kids:
+            subs.append(name_tree_to_program(kid))
+    except IllFormed as err:
+        err.path = (len(subs), *err.path)
+        raise
     if name == "comp":
-        if len(kids) < 2:
-            raise IllFormed(_path, "comp takes an outer and at least one inner child")
-        return Comp(
-            name_tree_to_program(kids[0], _path + (0,)),
-            tuple(
-                name_tree_to_program(g, _path + (i + 1,)) for i, g in enumerate(kids[1:])
-            ),
-        )
-    if name == "rec":
-        if len(kids) != 2:
-            raise IllFormed(_path, "rec takes exactly two children")
-        return Rec(
-            name_tree_to_program(kids[0], _path + (0,)),
-            name_tree_to_program(kids[1], _path + (1,)),
-        )
-    if name == "mu":
-        if len(kids) != 1:
-            raise IllFormed(_path, "mu takes exactly one child")
-        return Mu(name_tree_to_program(kids[0], _path + (0,)))
-    raise IllFormed(_path, f"unknown program name {name}")
+        return Comp(subs[0], tuple(subs[1:]))
+    return Rec(*subs) if name == "rec" else Mu(*subs)

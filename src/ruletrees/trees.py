@@ -11,16 +11,18 @@ commas, and whitespace.  A nullary node may be written `f1` or `f1()`;
 the printer always emits the bare form.
 
 `tokenize` and `TokenCursor` serve all three linear forms (name trees,
-natded's proof terms, recfun's programs) with one token regex each.
+natded's proof terms, recfun's programs) with one token regex each.  A
+token is a plain string: a ParseError computes its position when raised.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections import namedtuple
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NoReturn
 
-from .errors import ParseError
+from .errors import ParseError, Rejected
 
 
 def _same_record(self, other) -> bool:
@@ -75,79 +77,96 @@ class Tree(record("label", "children", defaults=((),))):
                 stack.append((path + (i,), node.children[i]))
 
 
-def tokenize(text: str, token_re: re.Pattern) -> list[tuple[str, str, int]]:
-    """Split `text` into (kind, value, position) tokens and a last eof token.
+def check_nodes(tree: Tree, check: Callable[[Tree], None]) -> None:
+    """Call `check` on every node of `tree` in preorder, building no paths.
+    A Rejected it raises gets the path of the first occurrence of its node
+    in preorder, found by a second walk: as `check` sees the node alone,
+    that is where a subtree occurring at several paths fails first."""
+    stack = [tree]
+    try:
+        while stack:
+            node = stack.pop()
+            check(node)
+            stack.extend(reversed(node.children))
+    except Rejected as err:
+        err.path = next(path for path, seen in tree.nodes() if seen is node)
+        raise
 
-    Named groups of `token_re` are token kinds; an alternative outside them
-    is punctuation, its text its own kind.  Whitespace that no alternative
-    matches is skipped, and a last `(?P<bad>\\S)` group reports any other
-    character.
-    """
-    tokens = [(m.lastgroup or m[0], m[0], m.start()) for m in token_re.finditer(text)]
-    for kind, value, pos in tokens:
-        if kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", pos)
-    tokens.append(("eof", "", len(text)))
+
+def tokenize(text: str, token_re: re.Pattern) -> list[str]:
+    """Split `text` into the strings `token_re` matches (it has no capturing
+    group and matches no whitespace) and a last "" for the end.  Whitespace
+    between tokens is skipped; the first other stray character raises."""
+    tokens = token_re.findall(text)
+    if "".join(tokens) != "".join(text.split()):
+        stop = re.match(rf"(?:{token_re.pattern}|\s)*", text, token_re.flags).end()
+        raise ParseError(f"unexpected character {text[stop]!r}", stop)
+    tokens.append("")
     return tokens
 
 
 class TokenCursor:
-    """Reads a `tokenize` list front to back; `next` stays on the eof token."""
+    """Reads the tokens of `text` front to back; `next` stays on the last
+    token, "".  `fail` finds the current token's offset by a second scan."""
 
-    __slots__ = ("tokens", "index")
+    __slots__ = ("text", "token_re", "tokens", "index")
 
-    def __init__(self, tokens: list[tuple[str, str, int]]):
-        self.tokens = tokens
+    def __init__(self, text: str, token_re: re.Pattern):
+        self.text = text
+        self.token_re = token_re
+        self.tokens = tokenize(text, token_re)
         self.index = 0
 
-    def peek(self) -> tuple[str, str, int]:
+    def peek(self) -> str:
         return self.tokens[self.index]
 
-    def next(self) -> tuple[str, str, int]:
+    def next(self) -> str:
         token = self.tokens[self.index]
-        if token[0] != "eof":
+        if token:
             self.index += 1
         return token
 
-    def at(self, kind: str) -> bool:
-        return self.tokens[self.index][0] == kind
-
-    def take(self, kind: str) -> bool:
-        """Step over the next token if it has `kind`; say whether it did."""
-        if self.tokens[self.index][0] == kind:
+    def take(self, token: str) -> bool:
+        """Step over the next token if it is `token`; say whether it did."""
+        if self.tokens[self.index] == token:
             self.index += 1
             return True
         return False
 
-    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
-        token = self.tokens[self.index]
-        if token[0] != kind:
-            raise ParseError(f"expected {what}", token[2])
+    def expect(self, token: str, what: str) -> None:
+        if self.tokens[self.index] != token:
+            self.fail(f"expected {what}")
         self.index += 1
-        return token
 
     def end(self) -> None:
-        token = self.tokens[self.index]
-        if token[0] != "eof":
-            raise ParseError("unexpected trailing input", token[2])
+        if self.tokens[self.index]:
+            self.fail("unexpected trailing input")
+
+    def fail(self, message: str) -> NoReturn:
+        rest = itertools.islice(self.token_re.finditer(self.text), self.index, None)
+        match = next(rest, None)
+        raise ParseError(message, len(self.text) if match is None else match.start())
 
 
 NAME_RE = re.compile(r"[^\s(),]+")
 """A rule name: what the linear form reads as one NAME."""
 
-_NAME_TOKEN_RE = re.compile(rf"(?P<name>{NAME_RE.pattern})|[(),]")
+_NAME_TOKEN_RE = re.compile(rf"{NAME_RE.pattern}|[(),]")
 
 
 def parse_name_tree(text: str) -> Tree:
     """Parse the linear form into a tree with string labels."""
-    cur = TokenCursor(tokenize(text, _NAME_TOKEN_RE))
+    cur = TokenCursor(text, _NAME_TOKEN_RE)
     tree = _parse_node(cur)
     cur.end()
     return tree
 
 
 def _parse_node(cur: TokenCursor) -> Tree:
-    name = cur.expect("name", "a rule name")[1]
+    name = cur.peek()
+    if name in "(),":  # also true for "", the end of the text
+        cur.fail("expected a rule name")
+    cur.next()
     if not cur.take("(") or cur.take(")"):
         return Tree(name)
     children = [_parse_node(cur)]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -198,6 +199,44 @@ def test_infer_runs_trees_bottom_up():
     assert info.value.path == (0,)
     with pytest.raises(ArityMismatch):
         infer_conclusion(EVEN, parse_name_tree("f2(f1(f1))"))
+
+
+def _even_chain(levels, label=lambda n, name: (n, name)):
+    """f2(...f2(f1)...) with `levels` f2 nodes, labeled through `label`
+    from each node's element and rule name, built without recursion."""
+    tree = Tree(label(0, "f1"))
+    for i in range(1, levels + 1):
+        tree = Tree(label(2 * i, "f2"), (tree,))
+    return tree
+
+
+def test_infer_needs_one_frame_per_level():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        node = infer_full_tree(EVEN, _even_chain(600, lambda n, name: name))
+    finally:
+        sys.setrecursionlimit(limit)
+    labels = []  # record equality recurses, so compare the labels one by one
+    while node.children:
+        labels.append(node.label)
+        (node,) = node.children
+    assert labels + [node.label] == [(2 * i, "f2") for i in range(600, 0, -1)] + [(0, "f1")]
+
+
+def test_tree_checks_stay_iterative_at_depth():
+    check_full_tree(EVEN, _even_chain(5000))
+    check_elem_tree(EVEN, _even_chain(5000, lambda n, name: n))
+    broken = Tree((4, "f2"), (_even_chain(0),))
+    for _ in range(4999):
+        broken = Tree((broken.label[0] + 2, "f2"), (broken,))
+    with pytest.raises(Rejected) as info:
+        check_full_tree(EVEN, broken)
+    assert info.value.path == (0,) * 4999
+    assert info.value.reason == "rule f2 yields 2, node is labeled 4"
+    with pytest.raises(Rejected) as info:  # the leaf's parent, 4, has the child 3
+        check_elem_tree(EVEN, _even_chain(5000, lambda n, name: n + (n == 2)))
+    assert (info.value.path, info.value.reason) == ((0,) * 4998, "no rule derives 4 from (3)")
 
 
 def test_a_rule_used_where_it_is_undefined_is_rejected():

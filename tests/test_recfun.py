@@ -399,6 +399,39 @@ def test_ungodel_code_length_bound():
     assert rf.godel(rf.ungodel(at, bound), bound) == at
 
 
+def _code(*parts):
+    """The right-nested pairing of `parts`, as `_nest` forms it."""
+    code = parts[-1]
+    for head in reversed(parts[:-1]):
+        code = (head + code) * (head + code + 1) // 2 + code
+    return code
+
+
+@pytest.mark.parametrize(
+    "code, message",
+    [
+        # comp(succ; zero^0 x 10**6): refused before the list is decoded
+        (_code(3, 1, 10**6, 0), "outer program takes 1 argument(s) but 1000000 inner "
+         "program(s) are given at root"),
+        # rec(zero^0, comp(succ; zero^0 x 10**6)): the path goes through the recursion
+        (_code(4, 0, _code(3, 1, 10**6, 0)), "outer program takes 1 argument(s) but "
+         "1000000 inner program(s) are given at 1"),
+        # comp(succ; comp(succ; zero^0 x 10**6)): and through an inner program
+        (_code(3, 1, 1, _code(3, 1, 10**6, 0)), "outer program takes 1 argument(s) but "
+         "1000000 inner program(s) are given at 1"),
+        # comp(mu(zero^0); zero^0 x 10**6): an ill-formed outer program is reported first
+        (_code(3, _code(5, 0), 10**6, 0), "minimization needs a body of arity at least 1 at 0"),
+    ],
+    ids=["root", "in-rec", "in-comp", "bad-outer"],
+)
+def test_ungodel_checks_a_list_length_before_decoding_the_list(code, message):
+    start = time.perf_counter()
+    with pytest.raises(rf.DecodeError) as info:
+        rf.ungodel(code)
+    assert time.perf_counter() - start < 0.1
+    assert str(info.value) == f"decodes to an ill-formed program ({message})"
+
+
 def test_recfun_errors_are_the_shared_classes():
     assert rf.IllFormed is errors.IllFormed
     assert rf.DecodeError is errors.DecodeError
