@@ -103,21 +103,23 @@ def compile_nfa(nfa: Nfa) -> CompiledRules:
 def erase(compiled: CompiledRules, tree: Tree) -> Word:
     """Spell the word a derivation chain reads, root to leaf."""
     letters = []
-    node, path = tree, ()
+    node = tree
     while True:
         if node.label not in compiled.erasure:
-            raise MalformedChain(path, f"unknown rule {node.label}")
+            raise MalformedChain((0,) * len(letters), f"unknown rule {node.label}")
         letter = compiled.erasure[node.label]
         if not node.children:
             if letter != "":
-                raise MalformedChain(path, "a chain ends in a final-state rule")
+                raise MalformedChain((0,) * len(letters), "a chain ends in a final-state rule")
             return tuple(letters)
         if len(node.children) > 1:
-            raise MalformedChain(path, "a chain has at most one premise per node")
+            raise MalformedChain(
+                (0,) * len(letters), "a chain has at most one premise per node"
+            )
         if letter == "":
-            raise MalformedChain(path, "a final-state rule takes no premise")
+            raise MalformedChain((0,) * len(letters), "a final-state rule takes no premise")
         letters.append(letter)
-        node, path = node.children[0], path + (0,)
+        node = node.children[0]
 
 
 def _check_inputs(nfa: Nfa, state: str, word: Word):

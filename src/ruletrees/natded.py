@@ -564,6 +564,7 @@ def parse_sequent_deriv(text: str) -> Tree:
 
     One node per line, children indented two more spaces than their
     parent, an optional trailing `[rule]` tag, `#` comments allowed.
+    The nesting depth is unbounded: the tree is built without recursion.
     """
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -588,27 +589,18 @@ def parse_sequent_deriv(text: str) -> Tree:
         raise ParseError("empty derivation", 0)
     if entries[0][1] != 0:
         raise ParseError(f"line {entries[0][0]}: the root must not be indented", entries[0][0])
-
-    def build(index: int, level: int):
-        lineno, _, seq, tag = entries[index]
+    for (_, above, _, _), (lineno, level, _, _) in zip(entries, entries[1:]):
+        if level == 0:
+            raise ParseError(f"line {lineno}: a derivation has a single root", lineno)
+        if level > above + 1:
+            raise ParseError(f"line {lineno}: indentation jumps a level", lineno)
+    stack = []  # (level, tree) of the lines read whose parent is not yet read
+    for _, level, seq, tag in reversed(entries):
         children = []
-        next_index = index + 1
-        while next_index < len(entries) and entries[next_index][1] > level:
-            if entries[next_index][1] != level + 1:
-                raise ParseError(
-                    f"line {entries[next_index][0]}: indentation jumps a level",
-                    entries[next_index][0],
-                )
-            child, next_index = build(next_index, level + 1)
-            children.append(child)
-        return Tree((seq, tag), tuple(children)), next_index
-
-    root, stop = build(0, 0)
-    if stop != len(entries):
-        raise ParseError(
-            f"line {entries[stop][0]}: a derivation has a single root", entries[stop][0]
-        )
-    return root
+        while stack and stack[-1][0] > level:
+            children.append(stack.pop()[1])
+        stack.append((level, Tree((seq, tag), tuple(children))))
+    return stack[0][1]
 
 
 def print_sequent_deriv(tree: Tree) -> str:

@@ -11,9 +11,10 @@ variable after the given arguments: mu(f)(xs) is the least y with
 f(xs, y) = 0.  Evaluation is bounded by a fuel budget so that searches
 which never succeed are reported as divergence instead of looping.
 `evaluate` compiles the program once per call into nested closures, in
-the walk that checks its arities.  They charge one unit of fuel at three
-points: a composition's entry, a recursion's entry and each of its steps,
-and a minimization's entry and each of its probes.
+the walk that checks its arities.  They charge one unit of fuel, an item
+of iter(range(fuel)), at three points: a composition's entry, a
+recursion's entry and each of its steps, and a minimization's entry and
+each of its probes.
 
 Every well-formed program has a numeric code (`godel`/`ungodel`) built
 from the pairing function <a, b> = (a + b)(a + b + 1)/2 + b by one rule:
@@ -30,7 +31,7 @@ import re
 from itertools import count
 from math import isqrt
 from operator import itemgetter
-from typing import Union
+from typing import Iterator, Union
 
 from .errors import (
     ArityMismatch,
@@ -90,20 +91,12 @@ def _subprograms(program: Comp | Rec | Mu) -> tuple:
     return (program.outer, *program.inner) if isinstance(program, Comp) else program
 
 
-class _Exhausted(Exception):
-    pass
-
-
-class _Budget:
-    __slots__ = ("remaining",)
-
-    def __init__(self, amount: int):
-        self.remaining = amount
-
-
-def _compile(program: Program, budget: _Budget | None):
-    """Check a program's arities and build the closure that runs it on a
-    budget, in one walk: (run, arity).  Raises IllFormed where it fails."""
+def _compile(program: Program, fuel: Iterator | None):
+    """Check a program's arities and build the closure that runs it, in one
+    walk: (run, arity).  Raises IllFormed where it fails.  The closures charge
+    with next(fuel), so none may ever run inside a generator frame, which
+    would turn StopIteration into RuntimeError (PEP 479): hence the list
+    comprehension, not a generator expression, in the many-inner comp."""
     if isinstance(program, Zero):
         if program.arity < 0:
             raise IllFormed((), "zero takes a nonnegative arity")
@@ -125,7 +118,7 @@ def _compile(program: Program, budget: _Budget | None):
     parts = []
     try:
         for sub in _subprograms(program):
-            parts.append(_compile(sub, budget))
+            parts.append(_compile(sub, fuel))
     except IllFormed as err:
         err.path = (len(parts), *err.path)
         raise
@@ -139,15 +132,11 @@ def _compile(program: Program, budget: _Budget | None):
         if len(inners) == 1:
             (g,) = inners
             def run(args):
-                if budget.remaining <= 0:
-                    raise _Exhausted
-                budget.remaining -= 1
+                next(fuel)
                 return outer((g(args),))
         else:
             def run(args):
-                if budget.remaining <= 0:
-                    raise _Exhausted
-                budget.remaining -= 1
+                next(fuel)
                 return outer(tuple([g(args) for g in inners]))
         return run, arities[0]
     if isinstance(program, Rec):
@@ -160,15 +149,11 @@ def _compile(program: Program, budget: _Budget | None):
             )
 
         def run(args):
-            if budget.remaining <= 0:
-                raise _Exhausted
-            budget.remaining -= 1
+            next(fuel)
             rest = args[1:]
             acc = base(rest)
             for j in range(args[0]):
-                if budget.remaining <= 0:
-                    raise _Exhausted
-                budget.remaining -= 1
+                next(fuel)
                 acc = step((j, acc) + rest)
             return acc
         return run, base_arity + 1
@@ -177,13 +162,9 @@ def _compile(program: Program, budget: _Budget | None):
         raise IllFormed((), "minimization needs a body of arity at least 1")
 
     def run(args):
-        if budget.remaining <= 0:
-            raise _Exhausted
-        budget.remaining -= 1
+        next(fuel)
         for y in count():
-            if budget.remaining <= 0:
-                raise _Exhausted
-            budget.remaining -= 1
+            next(fuel)
             if body(args + (y,)) == 0:
                 return y
     return run, body_arity - 1
@@ -199,14 +180,13 @@ def evaluate(
 ) -> int | None:
     """Run a program on natural-number arguments under a fuel budget.
 
-    The program is compiled into closures that charge the budget at the
-    three points the module docstring names; the base functions are free.
-    Returns the value, or None when the budget runs out first.
+    The program is compiled into closures that take one item of
+    iter(range(fuel)) at each point the module docstring names; the base
+    functions are free.  Returns the value, or None once the fuel runs out.
     """
     if fuel < 1:
         raise ValueError("fuel must be positive")
-    budget = _Budget(fuel)
-    run, arity = _compile(program, budget)
+    run, arity = _compile(program, iter(range(fuel)))
     args = tuple(args)
     if len(args) != arity:
         raise ArityMismatch(
@@ -216,7 +196,7 @@ def evaluate(
         raise ValueError("arguments must be natural numbers")
     try:
         return run(args)
-    except _Exhausted:
+    except StopIteration:
         return None
 
 

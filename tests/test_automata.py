@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -139,6 +140,37 @@ def test_erase_rejects_non_chains():
         erase(compiled, parse_name_tree("eps1(a1(eps1))"))
     with pytest.raises(MalformedChain):
         erase(compiled, Tree("b7"))
+
+
+def _parity_chain(length: int, leaf: Tree) -> Tree:
+    """a1(a2(a1(...(leaf)...))) with `length` letter rules, built bottom up."""
+    for i in reversed(range(length)):
+        leaf = Tree("a2" if i % 2 else "a1", (leaf,))
+    return leaf
+
+
+def test_erase_is_linear_in_the_chain_length():
+    # a path built at every node made this quadratic: about 11 s at 64 000
+    chain = _parity_chain(64_000, Tree("eps1"))
+    start = time.perf_counter()
+    assert erase(compile_nfa(PARITY), chain) == ("a",) * 64_000
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2_000])
+@pytest.mark.parametrize(
+    "fault, reason",
+    [
+        (Tree("b7"), "unknown rule b7"),
+        (Tree("a1"), "a chain ends in a final-state rule"),
+        (Tree("a1", (Tree("eps1"), Tree("eps1"))), "a chain has at most one premise per node"),
+        (Tree("eps1", (Tree("eps1"),)), "a final-state rule takes no premise"),
+    ],
+)
+def test_a_malformed_node_is_reported_at_its_depth(depth, fault, reason):
+    with pytest.raises(MalformedChain) as info:
+        erase(compile_nfa(PARITY), _parity_chain(depth, fault))
+    assert (info.value.path, info.value.reason) == ((0,) * depth, reason)
 
 
 def test_recognition():

@@ -5,7 +5,9 @@ is raised, and the checking walks build a node's path only once it fails.
 This file keeps the earlier tokenizer, parsers and walks, which carried a
 position on every token and a path into every node, and requires the same
 ParseError message and position, and the same Rejected class, reason and
-path, from both on random valid inputs and on broken ones.
+path, from both on random valid inputs and on broken ones.  It also keeps
+the earlier sequent-file reader, which recursed once per level, and
+requires the same tree or the same ParseError from the stack-based one.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given
@@ -737,3 +740,98 @@ def test_ungodel_matches_the_earlier_decoder_where_every_list_fits(seed):
             assert got == want, code
         else:
             assert got[0] is rf.DecodeError and want[0] is rf.DecodeError, code
+
+
+# -------------------------------------------------------------- sequent files
+
+def ref_parse_sequent_deriv(text):
+    """The earlier reader, which built the tree by recursing once per level."""
+    entries = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if not line.strip():
+            continue
+        indent = len(line) - len(line.lstrip(" "))
+        if indent % 2 != 0:
+            raise ParseError(f"line {lineno}: indentation must be even", lineno)
+        content = line.strip()
+        tag = None
+        match = nd._TAG_RE.search(content)
+        if match:
+            tag = match.group(1).strip()
+            content = content[: match.start()].rstrip()
+        try:
+            seq = nd.parse_sequent(content)
+        except ParseError as err:
+            raise ParseError(f"line {lineno}: {err.message}", lineno) from None
+        entries.append((lineno, indent // 2, seq, tag))
+    if not entries:
+        raise ParseError("empty derivation", 0)
+    if entries[0][1] != 0:
+        raise ParseError(f"line {entries[0][0]}: the root must not be indented", entries[0][0])
+
+    def build(index, level):
+        lineno, _, seq, tag = entries[index]
+        children = []
+        next_index = index + 1
+        while next_index < len(entries) and entries[next_index][1] > level:
+            if entries[next_index][1] != level + 1:
+                raise ParseError(
+                    f"line {entries[next_index][0]}: indentation jumps a level",
+                    entries[next_index][0],
+                )
+            child, next_index = build(next_index, level + 1)
+            children.append(child)
+        return Tree((seq, tag), tuple(children)), next_index
+
+    root, stop = build(0, 0)
+    if stop != len(entries):
+        raise ParseError(
+            f"line {entries[stop][0]}: a derivation has a single root", entries[stop][0]
+        )
+    return root
+
+
+_WELL_FORMED_LINES = st.sampled_from(
+    ("P |- P", "|- P => P  [imp-intro]", "P, Q |- P /\\ Q [and-intro] ", "Q |- Q  # [axiom]")
+)
+_NOISE_LINES = st.sampled_from(("", "  # note", "#", "P |-", "|- (P", "P |- P []", "P |- P [x] [y]"))
+
+
+@st.composite
+def sequent_files(draw):
+    """Files of 0-7 lines.  Most lines parse and sit below the root, at most
+    one level below the line before, so that files get past the per-line
+    checks to the structural ones; the rest have any indent of 0-12 spaces
+    and may be blank, a comment, or fail to parse."""
+    lines, level = [], -1
+    for _ in range(draw(st.integers(0, 7))):
+        if draw(st.integers(0, 4)):
+            level = draw(st.integers(min(level + 1, 1), level + 1))
+            lines.append("  " * level + draw(_WELL_FORMED_LINES))
+        else:
+            lines.append(" " * draw(st.integers(0, 12)) + draw(_NOISE_LINES | _WELL_FORMED_LINES))
+    return "\n".join(lines)
+
+
+@given(sequent_files())
+def test_sequent_files_read_like_the_recursive_reader(text):
+    assert outcome(nd.parse_sequent_deriv, text) == outcome(ref_parse_sequent_deriv, text)
+
+
+def test_a_3000_level_sequent_file_parses_and_checks():
+    # P |- P by and-elim1 from P |- P /\ P, by and-intro from P |- P (the
+    # chain goes on) and an axiom P |- P, down to 3 000 levels
+    assert sys.getrecursionlimit() < 3_000
+    lines = []
+    for level in range(0, 3_000, 2):
+        lines.append("  " * level + "P |- P  [and-elim1]")
+        lines.append("  " * (level + 1) + "P |- P /\\ P  [and-intro]")
+    lines.append("  " * 3_000 + "P |- P  [axiom]")
+    lines += ["  " * level + "P |- P  [axiom]" for level in range(3_000, 0, -2)]
+    tree = nd.parse_sequent_deriv("\n".join(lines))
+    nd.check_sequent_deriv(tree)
+    depth = 0
+    while tree.children:
+        tree, depth = tree.children[0], depth + 1
+    assert depth == 3_000

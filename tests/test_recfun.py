@@ -118,6 +118,8 @@ def test_fuel_accounting_is_exact():
     # mu charges entry plus one per probe
     assert rf.evaluate(SEARCH, (0,), 2) == 0
     assert rf.evaluate(SEARCH, (0,), 1) is None
+    # past sys.maxsize, range(fuel) gives a long-integer iterator
+    assert rf.evaluate(ADD, (2, 3), 2**70) == 5
 
 
 def test_a_450_deep_composition_chain_evaluates():
