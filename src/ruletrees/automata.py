@@ -10,6 +10,10 @@ Rules for the same letter are told apart by a 1-based index, assigned
 after sorting that letter's rules by (premise, conclusion); final
 states get nullary rules eps1, eps2, ... in state-name order.
 
+`recognizes` and `derivations_of` share one subset simulation.  The
+runs are then built from the last letter back, so a tail common to
+several runs is one shared `Tree`.
+
 The file format is line oriented:
 
     state NAME
@@ -122,52 +126,45 @@ def erase(compiled: CompiledRules, tree: Tree) -> Word:
         node = node.children[0]
 
 
-def _check_inputs(nfa: Nfa, state: str, word: Word):
+def _reach(nfa: Nfa, state: str, word: Word) -> list[set[str]]:
+    """The subset simulation from `state` over `word`: `reach[i]` is the
+    set of states it is in after `i` letters."""
     if state not in nfa.states:
         raise UnknownState(f"unknown state {state}")
+    reach = [{state}]
     for letter in word:
         if letter not in nfa.alphabet:
             raise UnknownLetter(f"unknown letter {letter}")
+        reach.append({t for s, lt, t in nfa.transitions if lt == letter and s in reach[-1]})
+    return reach
 
 
 def recognizes(nfa: Nfa, state: str, word: Word) -> bool:
     """Standard subset-simulation run from `state` over `word`."""
-    _check_inputs(nfa, state, tuple(word))
-    current = {state}
-    for letter in word:
-        current = {
-            target
-            for source, lt, target in nfa.transitions
-            if lt == letter and source in current
-        }
-    return bool(current & nfa.finals)
+    return bool(_reach(nfa, state, word)[-1] & nfa.finals)
 
 
 def derivations_of(nfa: Nfa, state: str, word: Word) -> list[Tree]:
     """All name-labeled derivation chains concluding `state` and spelling
     `word`, sorted by their linear form."""
     word = tuple(word)
-    _check_inputs(nfa, state, word)
+    reach = _reach(nfa, state, word)
     compiled = compile_nfa(nfa)
-    # The rules tried at one node spell one letter, so their names differ
-    # only in the index, and "(" sorts below every digit: walking them by
-    # name yields the chains already sorted by their linear form.
-    by_conclusion: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for name, letter, premise, conclusion in sorted(compiled.edges):
-        by_conclusion.setdefault((conclusion, letter), []).append((name, premise))
-    eps_name = {st: name for name, st in compiled.finals}
-
-    def chains(at: str, rest: Word) -> list[Tree]:
-        if not rest:
-            if at in eps_name:
-                return [Tree(eps_name[at])]
-            return []
-        found = []
-        for name, premise in by_conclusion.get((at, rest[0]), []):
-            found.extend(Tree(name, (tail,)) for tail in chains(premise, rest[1:]))
-        return found
-
-    return chains(state, word)
+    edges = sorted(compiled.edges)
+    # chains[s] lists the runs from s over the rest of the word.  Skipping
+    # the states `state` is not in after i letters spares tails that could
+    # be exponentially many and are never used.  The rules extending one
+    # state spell one letter, so their names differ only in the index, and
+    # "(" sorts below every digit: walking them by name keeps linear-form order.
+    chains = {final: [Tree(name)] for name, final in compiled.finals}
+    for letter, states in zip(reversed(word), reversed(reach[:-1])):
+        step = {}
+        for name, lt, premise, conclusion in edges:
+            if lt == letter and conclusion in states and premise in chains:
+                runs = step.setdefault(conclusion, [])
+                runs.extend(Tree(name, (t,)) for t in chains[premise])
+        chains = step
+    return chains.get(state, [])
 
 
 def is_deterministic(nfa: Nfa) -> bool:

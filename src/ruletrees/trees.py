@@ -59,13 +59,14 @@ class Tree(record("label", "children", defaults=((),))):
         """Number of nodes on the longest root-to-leaf path."""
         if not self.children:
             return 1
-        return 1 + max(c.height() for c in self.children)
+        return 1 + max(map(Tree.height, self.children))
 
     def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
+        return 1 + sum(map(Tree.size, self.children))
 
     def map_labels(self, fn: Callable[[Any], Any]) -> Tree:
-        return Tree(fn(self.label), tuple(c.map_labels(fn) for c in self.children))
+        children = map(Tree.map_labels, self.children, itertools.repeat(fn))
+        return Tree(fn(self.label), tuple(children))
 
     def nodes(self) -> Iterator[tuple[tuple[int, ...], Tree]]:
         """Preorder traversal yielding (path, subtree)."""
@@ -179,7 +180,7 @@ def _parse_node(cur: TokenCursor) -> Tree:
 def print_name_tree(tree: Tree) -> str:
     if not tree.children:
         return str(tree.label)
-    inner = ", ".join(print_name_tree(c) for c in tree.children)
+    inner = ", ".join(map(print_name_tree, tree.children))
     return f"{tree.label}({inner})"
 
 
@@ -191,7 +192,7 @@ def tree_to_latex(tree: Tree, label_parts: Callable[[Any], tuple[str, str]]) -> 
     macro with the conventional three arguments.
     """
     conclusion, name = label_parts(tree.label)
-    premises = " ~~~ ".join(tree_to_latex(c, label_parts) for c in tree.children)
+    premises = " ~~~ ".join(map(tree_to_latex, tree.children, itertools.repeat(label_parts)))
     return "\\irule{%s}{%s}{%s}" % (premises, conclusion, name)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import generators
+from ruletrees import automata
 from ruletrees.automata import (
     MalformedChain,
     Nfa,
@@ -189,6 +191,14 @@ def test_unknown_inputs():
         recognizes(PARITY, "even", ("z",))
     with pytest.raises(UnknownState):
         derivations_of(PARITY, "limbo", ())
+    # a letter named eps makes a rule eps1, as does the final state
+    clash = parse_nfa("state s0\nletter eps\ntrans s0 eps s0\nfinal s0\n")
+    with pytest.raises(UnknownState, match=r"^unknown state limbo$"):
+        derivations_of(clash, "limbo", ("z",))
+    with pytest.raises(UnknownLetter, match=r"^unknown letter z$"):
+        derivations_of(clash, "s0", ("eps", "z", "y"))
+    with pytest.raises(ValueError, match=r"^duplicate rule name eps1$"):
+        derivations_of(clash, "s0", ("eps",))
 
 
 def test_determinism_predicate():
@@ -284,3 +294,89 @@ def test_derivations_come_in_linear_form_order(seed):
         for word in (tuple(rng.choices(letters, k=rng.randint(1, 3))) for _ in range(4)):
             printed = [print_name_tree(t) for t in derivations_of(machine, state, word)]
             assert printed == sorted(printed)
+
+
+def ref_derivations_of(nfa: Nfa, state: str, word) -> list[Tree]:
+    """The earlier walk: one recursive call per letter, rebuilding every
+    tail for each run that passes through it."""
+    word = tuple(word)
+    if state not in nfa.states:
+        raise UnknownState(f"unknown state {state}")
+    for letter in word:
+        if letter not in nfa.alphabet:
+            raise UnknownLetter(f"unknown letter {letter}")
+    compiled = compile_nfa(nfa)
+    by_conclusion = {}
+    for name, letter, premise, conclusion in sorted(compiled.edges):
+        by_conclusion.setdefault((conclusion, letter), []).append((name, premise))
+    eps_name = {st: name for name, st in compiled.finals}
+
+    def chains(at, rest):
+        if not rest:
+            if at in eps_name:
+                return [Tree(eps_name[at])]
+            return []
+        found = []
+        for name, premise in by_conclusion.get((at, rest[0]), []):
+            found.extend(Tree(name, (tail,)) for tail in chains(premise, rest[1:]))
+        return found
+
+    return chains(state, word)
+
+
+@given(_seeds)
+def test_derivations_match_the_recursive_walk(seed):
+    machine = generators.nfa(random.Random(seed))
+    letters = sorted(machine.alphabet)
+    for state in sorted(machine.states):
+        for n in range(5):
+            for word in itertools.product(letters, repeat=n):
+                assert derivations_of(machine, state, word) == ref_derivations_of(
+                    machine, state, word
+                )
+
+
+# a1: p -> p, a2: p -> q, a3: q -> p and a4: q -> q, written premise -> conclusion
+COMPLETE = Nfa(
+    states=frozenset({"p", "q"}),
+    alphabet=frozenset({"a"}),
+    transitions=frozenset(itertools.product("pq", "a", "pq")),
+    finals=frozenset({"p", "q"}),
+)
+
+
+def test_runs_share_their_tails():
+    runs = derivations_of(COMPLETE, "p", ("a",) * 16)
+    assert len(runs) == 2**16
+
+    def tails(first, second):
+        return [
+            run.children[0].children[0]
+            for run in runs
+            if (run.label, run.children[0].label) == (first, second)
+        ]
+
+    # from p, a1 a1 and a3 a2 both lead back to p after two letters
+    pairs = list(zip(tails("a1", "a1"), tails("a3", "a2")))
+    assert len(pairs) == 2**14
+    assert all(left is right for left, right in pairs)
+
+
+def test_states_off_the_simulation_build_no_tails(monkeypatch):
+    # x has no transition; p and q have 2**12 runs each over the same word
+    machine = COMPLETE._replace(states=COMPLETE.states | {"x"})
+    built = []
+    monkeypatch.setattr(automata, "Tree", lambda *fields: built.append(fields) or Tree(*fields))
+    assert derivations_of(machine, "x", ("a",) * 12) == []
+    assert built == [("eps1",), ("eps2",)]
+
+
+def test_a_3000_letter_word_has_its_run():
+    loop = parse_nfa("state s\nletter a\ntrans s a s\nfinal s\n")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        (run,) = derivations_of(loop, "s", ("a",) * 3_000)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert erase(compile_nfa(loop), run) == ("a",) * 3_000

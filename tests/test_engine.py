@@ -26,7 +26,7 @@ from ruletrees.engine import (
     step,
 )
 from ruletrees.errors import ArityMismatch, Rejected, ResourceLimit
-from ruletrees.trees import Tree, parse_name_tree, print_name_tree
+from ruletrees.trees import Tree, parse_name_tree, print_name_tree, tree_to_latex
 
 EVEN = even_numbers()
 
@@ -217,11 +217,42 @@ def test_infer_needs_one_frame_per_level():
         node = infer_full_tree(EVEN, _even_chain(600, lambda n, name: name))
     finally:
         sys.setrecursionlimit(limit)
-    labels = []  # record equality recurses, so compare the labels one by one
-    while node.children:
-        labels.append(node.label)
-        (node,) = node.children
-    assert labels + [node.label] == [(2 * i, "f2") for i in range(600, 0, -1)] + [(0, "f1")]
+    assert _chain_labels(node) == [(2 * i, "f2") for i in range(600, 0, -1)] + [(0, "f1")]
+
+
+def _chain_labels(tree):
+    """The labels of a chain, root first, read without recursion (record
+    equality recurses, so deep chains are compared label by label)."""
+    labels = [tree.label]
+    while tree.children:
+        (tree,) = tree.children
+        labels.append(tree.label)
+    return labels
+
+
+def test_tree_walks_need_one_python_frame_per_level():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        # str.join and max count a C-level call of their own per level, so
+        # the printers and height get 450 levels, size and the erasers 800
+        shallow = _even_chain(450)
+        height = shallow.height()
+        printed = print_name_tree(erase_elements(shallow))
+        latex = tree_to_latex(shallow, lambda label: (str(label[0]), label[1]))
+        deep = _even_chain(800)
+        size, names, elements = deep.size(), erase_elements(deep), erase_names(deep)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (height, size) == (451, 801)
+    assert printed == "f2(" * 450 + "f1" + ")" * 450
+    expected = "\\irule{}{0}{f1}"
+    for i in range(1, 451):
+        expected = "\\irule{%s}{%d}{f2}" % (expected, 2 * i)
+    assert latex == expected
+    full = _chain_labels(deep)
+    assert _chain_labels(names) == [label[1] for label in full]
+    assert _chain_labels(elements) == [label[0] for label in full]
 
 
 def test_tree_checks_stay_iterative_at_depth():
