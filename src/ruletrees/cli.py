@@ -10,12 +10,15 @@ Each outcome prints one message on one stream and exits with one code:
     ResourceLimit: a closure past its size bound           stderr  1
     ResourceLimit: a recfun code longer than 14284 bits    stderr  1
       (`recfun godel` on a program, `recfun ungodel` on a code)
+    ResourceLimit: a composition listing more than 14284   stderr  1
+      inner programs (`recfun godel`, `recfun ungodel`)
     syntax error: ..., usage, @FILE or file errors,        stderr  2
       unknown state or letter, duplicate rule name, eval arity,
       diagonal oracle
 
-`run` decides every failure except eval arity and diagonal oracle errors,
-which their two handlers own.
+`run` decides every outcome.  A handler returns its exit code and its
+stdout lines and prints nothing, so nothing reaches stdout before a
+command has its whole output.
 """
 
 from __future__ import annotations
@@ -73,11 +76,9 @@ def _full_label_latex(label) -> tuple[str, str]:
     return render_element(element), (f"{base}_{{{sub}}}" if sub else base)
 
 
-def _print_latex(trees, label_parts=_full_label_latex) -> None:
-    """Print the `\\irule` preamble, then one `$$\\irule...$$` line per tree."""
-    print(LATEX_PREAMBLE)
-    for tree in trees:
-        print(f"$${tree_to_latex(tree, label_parts)}$$")
+def _latex(trees, label_parts=_full_label_latex) -> list[str]:
+    """The `\\irule` preamble, then one `$$\\irule...$$` line per tree."""
+    return [LATEX_PREAMBLE, *(f"$${tree_to_latex(tree, label_parts)}$$" for tree in trees)]
 
 
 def _load_nfa(path: str):
@@ -93,47 +94,39 @@ def _load_system(selector: str):
     return automata.compile_nfa(_load_nfa(selector)).system
 
 
-def _print_verdict(result: int | None, fuel: int) -> int:
-    """Print an evaluation's outcome and return its exit code."""
+def _verdict(result: int | None, fuel: int) -> tuple[int, list[str]]:
+    """An evaluation's exit code and stdout line."""
     if result is None:
-        print(f"diverged (fuel {fuel})")
-        return 1
-    print(f"value {result}")
-    return 0
+        return 1, [f"diverged (fuel {fuel})"]
+    return 0, [f"value {result}"]
 
 
 # ------------------------------------------------------------------- handlers
 
-def cmd_even_iterate(args) -> int:
+def cmd_even_iterate(args) -> tuple[int, list[str]]:
     elements, _ = engine.iterate(even_numbers(), args.steps)
-    print(render_set(elements))
-    return 0
+    return 0, [render_set(elements)]
 
 
-def cmd_even_member(args) -> int:
+def cmd_even_member(args) -> tuple[int, list[str]]:
     witness = engine.member(even_numbers(), args.n, args.depth)
     if witness is None:
-        print(f"not found within depth {args.depth}")
-        return 1
+        return 1, [f"not found within depth {args.depth}"]
     if args.latex:
-        _print_latex([witness])
-    else:
-        print(print_name_tree(engine.erase_elements(witness)))
-    return 0
+        return 0, _latex([witness])
+    return 0, [print_name_tree(engine.erase_elements(witness))]
 
 
-def cmd_infer(args) -> int:
+def cmd_infer(args) -> tuple[int, list[str]]:
     system = _load_system(args.system)
     tree = parse_name_tree(read_arg(args.tree))
     full = engine.infer_full_tree(system, tree)
     if args.latex:
-        _print_latex([full])
-    else:
-        print(render_element(full.label[0]))
-    return 0
+        return 0, _latex([full])
+    return 0, [render_element(full.label[0])]
 
 
-def cmd_natded_check(args) -> int:
+def cmd_natded_check(args) -> tuple[int, list[str]]:
     from . import natded
     text = read_arg(args.term)
     # both forms label their nodes (Sequent, rule name or None)
@@ -143,98 +136,87 @@ def cmd_natded_check(args) -> int:
     else:
         tree = natded.scheme_sequent_tree(natded.parse_term(text, args.form))
     if args.latex:
-        _print_latex(
+        return 0, _latex(
             [tree], lambda label: (natded.sequent_to_latex(label[0]), label[1] or "")
         )
-    else:
-        print(natded.print_sequent(tree.label[0]))
-    return 0
+    return 0, [natded.print_sequent(tree.label[0])]
 
 
-def cmd_natded_convert(args) -> int:
+def cmd_natded_convert(args) -> tuple[int, list[str]]:
     from . import natded
     text = read_arg(args.term)
     if args.to == "var":
-        term = natded.parse_term(text, "scheme")
-        print(natded.print_term(natded.scheme_to_var(term)))
+        term = natded.scheme_to_var(natded.parse_term(text, "scheme"))
     else:
-        term = natded.parse_term(text, "var")
-        print(natded.print_term(natded.var_to_scheme(term)))
-    return 0
+        term = natded.var_to_scheme(natded.parse_term(text, "var"))
+    return 0, [natded.print_term(term)]
 
 
-def cmd_recfun_eval(args) -> int:
+def cmd_recfun_eval(args) -> tuple[int, list[str]]:
     from . import recfun
     program = recfun.parse_program(read_arg(args.program))
     try:
         result = recfun.evaluate(program, args.args, args.fuel)
     except ArityMismatch as err:
-        print(err.reason, file=sys.stderr)
-        return 2
-    return _print_verdict(result, args.fuel)
+        raise ValueError(err.reason) from None
+    return _verdict(result, args.fuel)
 
 
-def cmd_recfun_godel(args) -> int:
+def cmd_recfun_godel(args) -> tuple[int, list[str]]:
     from . import recfun
     program = recfun.parse_program(read_arg(args.program))
-    print(recfun.godel(program, recfun.MAX_CODE_BITS))
-    return 0
+    return 0, [str(recfun.godel(program, recfun.MAX_CODE_BITS))]
 
 
-def cmd_recfun_ungodel(args) -> int:
+def cmd_recfun_ungodel(args) -> tuple[int, list[str]]:
     from . import recfun
-    print(recfun.print_program(recfun.ungodel(args.code, recfun.MAX_CODE_BITS)))
-    return 0
+    return 0, [recfun.print_program(recfun.ungodel(args.code, recfun.MAX_CODE_BITS))]
 
 
-def cmd_recfun_diagonal(args) -> int:
+def cmd_recfun_diagonal(args) -> tuple[int, list[str]]:
     from . import recfun
     oracle = recfun.parse_program(read_arg(args.program))
     try:
         program = recfun.diagonal(oracle)
     except (IllFormed, ArityMismatch) as err:
-        print(err.reason, file=sys.stderr)
-        return 2
-    print(recfun.print_program(program))
+        raise ValueError(err.reason) from None
+    printed = recfun.print_program(program)
     if not args.self_apply:
-        return 0
+        return 0, [printed]
     result = recfun.evaluate(program, (recfun.godel(program),), args.fuel)
-    return _print_verdict(result, args.fuel)
+    code, verdict = _verdict(result, args.fuel)
+    return code, [printed, *verdict]
 
 
-def cmd_nfa_run(args) -> int:
+def cmd_nfa_run(args) -> tuple[int, list[str]]:
     from . import automata
     nfa = _load_nfa(args.file)
     if automata.recognizes(nfa, args.state, automata.parse_word(args.word)):
-        print("recognized")
-        return 0
-    print("not recognized")
-    return 1
+        return 0, ["recognized"]
+    return 1, ["not recognized"]
 
 
-def cmd_nfa_derivations(args) -> int:
+def cmd_nfa_derivations(args) -> tuple[int, list[str]]:
     from . import automata
     nfa = _load_nfa(args.file)
     derivs = automata.derivations_of(nfa, args.state, automata.parse_word(args.word))
     if args.latex and derivs:
         system = automata.compile_nfa(nfa).system
-        _print_latex(engine.infer_full_tree(system, deriv) for deriv in derivs)
+        lines = _latex(engine.infer_full_tree(system, deriv) for deriv in derivs)
     else:
-        for deriv in derivs:
-            print(print_name_tree(deriv))
-    return 0 if derivs else 1
+        lines = [print_name_tree(deriv) for deriv in derivs]
+    return (0 if derivs else 1), lines
 
 
-def cmd_nfa_rules(args) -> int:
+def cmd_nfa_rules(args) -> tuple[int, list[str]]:
     from . import automata
     compiled = automata.compile_nfa(_load_nfa(args.file))
-    for name, _, premise, conclusion in compiled.edges:
-        print(f"{name}: {premise} -> {conclusion}")
-    for name, state in compiled.finals:
-        print(f"{name}: () -> {state}")
-    for name, letter in compiled.erasure.items():
-        print(f"erase {name} = " + (letter if letter else '""'))
-    return 0
+    lines = [
+        f"{name}: {premise} -> {conclusion}" for name, _, premise, conclusion in compiled.edges
+    ]
+    lines += [f"{name}: () -> {state}" for name, state in compiled.finals]
+    lines += [f"erase {name} = " + (letter or '""') for name, letter in compiled.erasure.items()]
+    return 0, lines
 
 
 # --------------------------------------------------------------------- parser
@@ -321,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    """Parse arguments, dispatch, and map errors to exit codes."""
+    """Parse arguments, dispatch, print the outcome and return its exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -330,7 +312,7 @@ def run(argv=None) -> int:
             return exc.code
         return 0 if exc.code is None else 2
     try:
-        return args.func(args)
+        code, lines = args.func(args)
     except ParseError as err:
         print(f"syntax error: {err}", file=sys.stderr)
         return 2
@@ -349,6 +331,9 @@ def run(argv=None) -> int:
     except (OSError, ValueError) as err:
         print(str(err), file=sys.stderr)
         return 2
+    for line in lines:
+        print(line)
+    return code
 
 
 def main():

@@ -237,8 +237,9 @@ MAX_CODE_BITS = 14_284
 
 def godel(program: Program, max_bits: int | None = None) -> int:
     """The numeric code of a well-formed program.  With `max_bits`, raises
-    ResourceLimit once a part of the code is longer than that: each nesting
-    level about doubles a code's length, so the whole is never built."""
+    ResourceLimit once a part of the code is longer than that (each nesting
+    level about doubles a code's length, so the whole is never built), or
+    on a composition that lists more inner programs than that."""
     arity_of(program)
     return _encode(program, max_bits)
 
@@ -247,6 +248,14 @@ def _within(code: int, max_bits: int | None) -> int:
     if max_bits is not None and code.bit_length() > max_bits:
         raise ResourceLimit(f"the program's code is longer than {max_bits} bits")
     return code
+
+
+def _listed(length: int, max_bits: int | None) -> int:
+    # zero^0 codes as 0, and so does a list of them: a short code can name a
+    # composition of any length, so its length is bounded as the code is
+    if max_bits is not None and length > max_bits:
+        raise ResourceLimit(f"a composition lists more than {max_bits} inner programs")
+    return length
 
 
 def _encode(value, max_bits: int | None) -> int:
@@ -258,7 +267,7 @@ def _encode(value, max_bits: int | None) -> int:
         if isinstance(value, cls):
             break
     else:
-        head = len(value)
+        head = _listed(len(value), max_bits)
     return _within(_pair(head, _nest(value, max_bits)), max_bits)
 
 
@@ -274,11 +283,12 @@ def _nest(values, max_bits: int | None) -> int:
 def ungodel(code: int, max_bits: int | None = None) -> Program:
     """Invert `godel`; raises DecodeError on numbers that do not code a
     well-formed program.  With `max_bits`, raises ResourceLimit on a code
-    longer than that, as `godel` does for the program it would decode to."""
+    longer than that, or on a composition that lists more than `max_bits`
+    inner programs, as `godel` does for the program it would decode to."""
     if code < 0:
         raise DecodeError("codes are nonnegative")
     try:
-        program = _decode(_within(code, max_bits))
+        program = _decode(_within(code, max_bits), max_bits)
         arity_of(program)
     except IllFormed as err:
         raise DecodeError(
@@ -287,13 +297,14 @@ def ungodel(code: int, max_bits: int | None = None) -> Program:
     return program
 
 
-def _decode(code: int, kind: str = "p", outer: Program | None = None):
+def _decode(code: int, max_bits: int | None, kind: str = "p", outer: Program | None = None):
     """What `code` codes as a numeral ("n"), a program ("p") or the inner
     programs ("l") of a composition around `outer`.
 
-    A list's length is checked against the outer program's arity before
-    its items are decoded, since they take time in that length.  An
-    IllFormed raised for a list has its path from the composition.
+    A list's length is checked against the outer program's arity and then
+    against `max_bits` before its items are decoded, since they take time
+    in that length.  An IllFormed raised for a list has its path from the
+    composition.
     """
     if kind == "n":
         return code
@@ -308,10 +319,11 @@ def _decode(code: int, kind: str = "p", outer: Program | None = None):
                 err.path = (0, *err.path)
                 raise
             raise _comp_mismatch(arity, head)
+        _listed(head, max_bits)
         inner = []
         try:
             for item in _unnest(rest, head):
-                inner.append(_decode(item))
+                inner.append(_decode(item, max_bits))
         except IllFormed as err:
             err.path = (len(inner) + 1, *err.path)
             raise
@@ -324,7 +336,7 @@ def _decode(code: int, kind: str = "p", outer: Program | None = None):
     fields = []
     for field, kind in zip(_unnest(rest, len(kinds)), kinds):
         try:
-            fields.append(_decode(field, kind, *fields[:1]))  # a list follows its outer
+            fields.append(_decode(field, max_bits, kind, *fields[:1]))  # a list follows its outer
         except IllFormed as err:
             if kind == "p":  # a list's paths already start at the composition
                 err.path = (len(fields), *err.path)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from math import isqrt
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 import ruletrees
 from ruletrees import recfun as rf
-from ruletrees.cli import run
+from ruletrees.cli import build_parser, run
 from ruletrees.errors import ResourceLimit
 
 PARITY_TEXT = """\
@@ -235,6 +236,22 @@ def test_recfun_ungodel_past_the_code_bound(capsys):
     assert (code, out) == (0, f"{at}\n")
 
 
+def test_recfun_ungodel_past_the_list_bound(capsys):
+    # comp(zero^3; zero^0, zero^0, zero^0): its list agrees with its outer arity
+    assert invoke(capsys, "recfun", "ungodel", "8511") == (
+        0, "comp(zero^3; zero^0, zero^0, zero^0)\n", ""
+    )
+    # the same shape with 2**64 inner programs has a 510-bit code
+    n = 2**64
+    code = rf._pair(3, rf._pair(rf._pair(0, n), rf._pair(n, 0)))
+    assert code.bit_length() == 510
+    start = time.perf_counter()
+    assert invoke(capsys, "recfun", "ungodel", str(code)) == (
+        1, "", "a composition lists more than 14284 inner programs\n"
+    )
+    assert time.perf_counter() - start < 1.0
+
+
 def test_recfun_diagonal(capsys):
     code, out, _ = invoke(capsys, "recfun", "diagonal", "zero^2")
     assert code == 0
@@ -349,7 +366,66 @@ def test_colliding_rule_names_stop_compiling_but_not_running(capsys, tmp_path, t
     assert (code, out) == (0, "recognized\n")
 
 
+def test_nfa_rules_of_an_automaton_without_rules_print_nothing(capsys, tmp_path):
+    path = tmp_path / "bare.nfa"
+    path.write_text("state s\nletter a\n")
+    assert invoke(capsys, "nfa", "rules", str(path)) == (0, "", "")
+
+
 # ------------------------------------------------------------------- plumbing
+
+# one command per subcommand; PARITY stands for the parity automaton's file
+HANDLER_ARGVS = [
+    ["even", "iterate", "--steps", "3"],
+    ["even", "member", "4", "--depth", "3", "--latex"],
+    ["infer", "--system", "even", "f2(f2(f1))"],
+    ["natded", "check", "--form", "scheme", SWAP_TEXT, "--latex"],
+    ["natded", "convert", "--to", "var", SWAP_TEXT],
+    ["recfun", "eval", "mu(proj^2_1)", "3", "--fuel", "50"],
+    ["recfun", "godel", "comp(succ; succ)"],
+    ["recfun", "ungodel", "272"],
+    ["recfun", "diagonal", "zero^2", "--self-apply"],
+    ["nfa", "run", "PARITY", "--state", "odd", "--word", "aa"],
+    ["nfa", "derivations", "PARITY", "--state", "odd", "--word", "a", "--latex"],
+    ["nfa", "rules", "PARITY"],
+]
+
+
+@pytest.mark.parametrize("argv", HANDLER_ARGVS, ids=lambda argv: " ".join(argv[:2]))
+def test_handlers_return_their_outcome_and_print_nothing(capsys, parity_file, argv):
+    argv = [parity_file if arg == "PARITY" else arg for arg in argv]
+    args = build_parser().parse_args(argv)
+    code, lines = args.func(args)
+    assert capsys.readouterr() == ("", "")
+    assert isinstance(code, int) and isinstance(lines, list)
+    assert lines and all(isinstance(line, str) for line in lines)
+    # `run` prints exactly those lines
+    assert invoke(capsys, *argv) == (code, "".join(f"{line}\n" for line in lines), "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["infer", "--system", "even", "f2(" * 700 + "f1" + ")" * 700, "--latex"],
+        ["nfa", "derivations", "LOOP", "--state", "s", "--word", "a" * 600, "--latex"],
+    ],
+    ids=["infer", "nfa-derivations"],
+)
+def test_a_latex_run_that_fails_prints_nothing(capsys, tmp_path, argv):
+    """The preamble is not printed ahead of a failure; the RecursionError
+    itself stays until handlers run on a larger stack (ROADMAP item 4)."""
+    loop = tmp_path / "loop.nfa"
+    loop.write_text("state s\nletter a\ntrans s a s\nfinal s\n")
+    argv = [str(loop) if arg == "LOOP" else arg for arg in argv]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        with pytest.raises(RecursionError):
+            run(argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert capsys.readouterr().out == ""
+
 
 def test_usage_errors(capsys):
     assert invoke(capsys, "bogus")[0] == 2

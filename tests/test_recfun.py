@@ -434,6 +434,31 @@ def test_ungodel_checks_a_list_length_before_decoding_the_list(code, message):
     assert str(info.value) == f"decodes to an ill-formed program ({message})"
 
 
+def _zeros(n):
+    """comp(zero^n; zero^0 x n): zero^0 codes as 0, and so does its list, so
+    the code stays short however long the list is."""
+    return rf.Comp(rf.Zero(n), (rf.Zero(0),) * n)
+
+
+def test_a_list_as_long_as_the_code_bound_round_trips_under_it():
+    bound = rf.MAX_CODE_BITS
+    code = rf.godel(_zeros(bound), bound)
+    assert code == _code(3, _code(0, bound), _code(bound, 0))
+    assert rf.ungodel(code, bound) == _zeros(bound)
+
+
+def test_a_list_longer_than_the_code_bound_is_refused_both_ways():
+    bound = rf.MAX_CODE_BITS
+    message = "^a composition lists more than 14284 inner programs$"
+    with pytest.raises(ResourceLimit, match=message):
+        rf.godel(_zeros(bound + 1), bound)
+    code = rf.godel(_zeros(bound + 1))  # no bound by default
+    assert code == _code(3, _code(0, bound + 1), _code(bound + 1, 0))
+    with pytest.raises(ResourceLimit, match=message):
+        rf.ungodel(code, bound)
+    assert rf.ungodel(code) == _zeros(bound + 1)
+
+
 def test_recfun_errors_are_the_shared_classes():
     assert rf.IllFormed is errors.IllFormed
     assert rf.DecodeError is errors.DecodeError
