@@ -15,8 +15,6 @@ they are equal.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
-from operator import itemgetter
 from typing import Any, Callable, Iterable
 
 from .errors import ArityMismatch, Rejected, ResourceLimit
@@ -25,10 +23,6 @@ from .trees import NAME_RE, Tree, check_nodes, record
 Element = Any
 
 DEFAULT_MAX_SET_SIZE = 100_000
-
-# Up to this many new elements, a layer is inserted into the sorted pool
-# one by one; a larger layer is merged in one linear pass instead.
-_INSERT_BATCH = 32
 
 
 class UnknownRuleName(Rejected):
@@ -116,16 +110,17 @@ def step(
     return frozenset(out)
 
 
-def _layers(system: RuleSystem, max_size: int, limit_message: str):
+def _layers(system: RuleSystem, known: dict, max_size: int, limit_message: str):
     """The closure layers, computed semi-naively, until a fixed point.
 
-    Each yielded layer lists its new elements in discovery order, each as
-    (element, rule, args) for the first rule application reaching it:
-    rules in system order, argument tuples in the order of the full
-    product over the render-sorted pool.  A tuple made only of elements
-    older than the previous layer yields an element found already, so a
-    layer tries only the tuples that hold a `fresh` element, one new in
-    the previous layer, and each arity walks them in its own loop:
+    Records in `known`, for each element reached, the first rule
+    application reaching it as `known[element] = (rule, args)`: rules in
+    system order, argument tuples in the order of the full product over
+    the render-sorted pool.  Each yielded layer lists its new elements in
+    discovery order.  A tuple made only of elements older than the
+    previous layer yields an element found already, so a layer tries
+    only the tuples that hold a `fresh` element, one new in the previous
+    layer (render-sorted), and each arity walks them in its own loop:
 
     - nullary rules fire in the first layer only, the one with an empty pool;
     - a unary rule walks `fresh`;
@@ -135,23 +130,24 @@ def _layers(system: RuleSystem, max_size: int, limit_message: str):
       the last position if the prefix holds a fresh element and `fresh`
       if not.
 
-    Raises ResourceLimit(limit_message) once more than `max_size`
-    elements are known.
+    Only rules of arity 2 or more read the pool, so it is kept only for
+    systems that have one.  Raises ResourceLimit(limit_message) once
+    more than `max_size` elements are known.
     """
-    keys: list[str] = []  # renderings of `pool`, sorted
+    wide = any(rule.arity >= 2 for rule in system.rules)
+    ranked: list = []  # the pool as (rendering, element), sorted
     pool: list = []
-    known: set = set()
     fresh: list = []
+    fresh_set: set = set()
 
     def found(result, rule, args):  # a new element, reached by rule(*args)
-        known.add(result)
+        known[result] = (rule, args)
         if len(known) > max_size:
             raise ResourceLimit(limit_message)
-        layer.append((result, rule, args))
+        layer.append(result)
 
     while True:
-        fresh_set = set(fresh)
-        layer = []
+        layer: list = []
         for rule in system.rules:
             fn, arity = rule.fn, rule.arity
             if arity == 1:
@@ -167,7 +163,7 @@ def _layers(system: RuleSystem, max_size: int, limit_message: str):
                             found(result, rule, (a, b))
             else:
                 if arity == 0:
-                    tuples = () if pool else ((),)
+                    tuples = () if fresh else ((),)  # only the first layer has no fresh
                 else:
                     tuples = itertools.chain.from_iterable(
                         itertools.product(
@@ -182,22 +178,15 @@ def _layers(system: RuleSystem, max_size: int, limit_message: str):
         if not layer:
             return
         yield layer
-        if len(layer) == 1:  # as in every layer of `even`: no keyed sort
-            element = layer[0][0]
-            keyed = [(render_element(element), element)]
-        else:
-            keyed = sorted(((render_element(e), e) for e, _, _ in layer), key=itemgetter(0))
-        fresh = [element for _, element in keyed]
-        if len(keyed) <= _INSERT_BATCH:
-            for key, element in keyed:
-                at = bisect_left(keys, key)
-                keys.insert(at, key)
-                pool.insert(at, element)
-        else:
-            # two sorted runs: the sort merges them in linear time
-            merged = sorted([*zip(keys, pool), *keyed], key=itemgetter(0))
-            keys = [key for key, _ in merged]
-            pool = [element for _, element in merged]
+        fresh = layer
+        if len(layer) > 1 or wide:  # skipped by `even`: one element a layer, no pool
+            # no two distinct elements render alike, so no sort compares elements
+            keyed = sorted([(render_element(e), e) for e in layer])
+            fresh = [element for _, element in keyed]
+            if wide:  # two sorted runs: the sort merges them in linear time
+                ranked = sorted(ranked + keyed)
+                pool = [element for _, element in ranked]
+                fresh_set = set(layer)
 
 
 def iterate(
@@ -215,13 +204,10 @@ def iterate(
     """
     if steps < 0:
         raise ValueError("step count must be nonnegative")
-    elements: set = set()
-    count = 0
-    layers = _layers(system, max_size, f"step produced more than {max_size} elements")
-    for layer in itertools.islice(layers, steps):
-        elements.update(element for element, _, _ in layer)
-        count += 1
-    return frozenset(elements), (count if count < steps else None)
+    known: dict = {}
+    layers = _layers(system, known, max_size, f"step produced more than {max_size} elements")
+    count = sum(1 for _ in itertools.islice(layers, steps))
+    return frozenset(known), (count if count < steps else None)
 
 
 def member(
@@ -240,14 +226,26 @@ def member(
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    witnesses: dict = {}
-    layers = _layers(system, max_size, f"more than {max_size} derivable elements")
-    for layer in itertools.islice(layers, depth):
-        for result, rule, args in layer:
-            witnesses[result] = Tree((result, rule.name), tuple(witnesses[a] for a in args))
-        if element in witnesses:
-            return witnesses[element]
-    return None
+    known: dict = {}
+    layers = _layers(system, known, max_size, f"more than {max_size} derivable elements")
+    for _ in itertools.islice(layers, depth):
+        if element in known:
+            break
+    else:
+        return None
+    # the witness's elements, built in discovery order: arguments come first
+    needed = set()
+    stack = [element]
+    while stack:
+        e = stack.pop()
+        if e not in needed:
+            needed.add(e)
+            stack.extend(known[e][1])
+    trees: dict = {}
+    for e, (rule, args) in known.items():
+        if e in needed:
+            trees[e] = Tree((e, rule.name), tuple(trees[a] for a in args))
+    return trees[element]
 
 
 def check_elem_tree(system: RuleSystem, tree: Tree) -> None:

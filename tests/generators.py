@@ -62,6 +62,20 @@ def wide_system(rng: random.Random) -> RuleSystem:
     return RuleSystem(tuple(rules))
 
 
+def unary_system(rng: random.Random) -> RuleSystem:
+    """Three nullary rules with distinct values and up to three unary
+    partial tables over the numbers 0..11: no rule of arity 2 or more, so
+    the closure keeps no pool, and the first layer holds three elements."""
+    rules = [
+        Rule(f"z{i}", 0, lambda value=value: value)
+        for i, value in enumerate(rng.sample(WIDE_DOMAIN, 3))
+    ]
+    for i in range(rng.randint(1, 3)):
+        table = {a: rng.choice(WIDE_DOMAIN) for a in WIDE_DOMAIN if rng.random() < 0.6}
+        rules.append(Rule(f"u{i}", 1, table.get))
+    return RuleSystem(tuple(rules))
+
+
 ATOMS = (nd.Atom("P"), nd.Atom("Q"), nd.Atom("R"))
 
 

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import generators
+from ruletrees import engine
 from ruletrees.engine import (
     DEFAULT_MAX_SET_SIZE,
     Rule,
@@ -408,14 +409,78 @@ def test_closure_layers_match_naive_reference(seed):
 
 
 def test_large_layers_match_naive_reference():
-    # layers 8 and 9 bring 64 and 22 new elements, which join the pool in
-    # one merge rather than one insertion each
+    # layers 8 and 9 bring 64 and 22 new elements; like every layer of a
+    # system with a rule of arity 2 or more, each joins the pool in one merge
     adder = RuleSystem(
         (Rule("one", 0, lambda: 1), Rule("add", 2, lambda a, b: a + b if a + b <= 150 else None))
     )
     assert iterate(adder, 12) == _naive_iterate(adder, 12) == (frozenset(range(1, 151)), 9)
     for target in (1, 33, 64, 65, 100, 129, 150, 151):
         assert member(adder, target, 12) == _naive_member(adder, target, 12)
+
+
+def test_member_builds_only_its_witness(monkeypatch):
+    built = []
+
+    class CountingTree(Tree):
+        __slots__ = ()
+
+        def __new__(cls, label, children=()):
+            built.append(label)
+            return super().__new__(cls, label, children)
+
+    monkeypatch.setattr(engine, "Tree", CountingTree)
+    adder = RuleSystem(
+        (Rule("one", 0, lambda: 1), Rule("add", 2, lambda a, b: a + b if a + b <= 150 else None))
+    )
+    for target in (8, 150):
+        built.clear()
+        witness = member(adder, target, 12)
+        nodes, stack = {}, [witness]
+        while stack:
+            node = stack.pop()
+            nodes[id(node)] = node
+            stack.extend(node.children)
+        assert witness.label[0] == target
+        assert len(built) == len(nodes)
+        if target == 8:  # add(4, 4): the subderivation of 4 is one shared object
+            assert witness.label == (8, "add")
+            assert witness.children[0] is witness.children[1]
+    built.clear()
+    assert member(adder, 151, 12) is None
+    assert built == []
+
+
+def test_member_builds_a_long_chain_without_recursion():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        witness = member(EVEN, 10_000, 5_001)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert _chain_labels(witness) == [(2 * i, "f2") for i in range(5000, 0, -1)] + [(0, "f1")]
+
+
+@given(_seeds)
+def test_call_order_and_naive_reference_without_a_pool(seed):
+    # only nullary and unary rules, so the closure keeps no pool; past 9,
+    # rendering order ("10" < "2") differs from numeric order
+    rng = random.Random(seed)
+    system = generators.unary_system(rng)
+    _assert_call_order(system, 8)
+    sizes = [len(_naive_iterate(system, steps)[0]) for steps in range(8)]
+    # a bound passed at the second new element of the last layer holding several
+    inside = max(size for size, nxt in zip(sizes, sizes[1:]) if nxt - size > 1) + 1
+    for max_size in (inside, DEFAULT_MAX_SET_SIZE):
+        for steps in range(8):
+            assert _outcome(iterate, system, steps, max_size=max_size) == _outcome(
+                _naive_iterate, system, steps, max_size=max_size
+            )
+        for element in generators.WIDE_DOMAIN:
+            depth = rng.randint(1, 8)
+            assert _outcome(member, system, element, depth, max_size=max_size) == _outcome(
+                _naive_member, system, element, depth, max_size=max_size
+            )
 
 
 def _logged(system, log):
