@@ -8,13 +8,14 @@ set builds the closure in layers, and every element that ever appears
 is justified by a derivation tree whose nodes are rule applications.
 
 Elements are ordinary Python values; they must support equality and
-hashing, and two elements render equally (via `render_element`) only if
-they are equal.
+hashing.  Argument tuples follow the order of the elements' renderings
+(via `render_element`), and elements are never ordered against each other.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Any, Callable, Iterable
 
 from .errors import ArityMismatch, Rejected, ResourceLimit
@@ -180,11 +181,11 @@ def _layers(system: RuleSystem, known: dict, max_size: int, limit_message: str):
         yield layer
         fresh = layer
         if len(layer) > 1 or wide:  # skipped by `even`: one element a layer, no pool
-            # no two distinct elements render alike, so no sort compares elements
-            keyed = sorted([(render_element(e), e) for e in layer])
+            # by rendering alone: the stable sort keeps ties in discovery order
+            keyed = sorted([(render_element(e), e) for e in layer], key=itemgetter(0))
             fresh = [element for _, element in keyed]
             if wide:  # two sorted runs: the sort merges them in linear time
-                ranked = sorted(ranked + keyed)
+                ranked = sorted(ranked + keyed, key=itemgetter(0))
                 pool = [element for _, element in ranked]
                 fresh_set = set(layer)
 
@@ -272,7 +273,7 @@ def check_elem_tree(system: RuleSystem, tree: Tree) -> None:
 def _apply_named(system: RuleSystem, name: str, child_elems: tuple):
     """The element the rule called `name` derives from `child_elems`;
     raises UnknownRuleName, ArityMismatch or RuleUndefined at the root."""
-    rule = system.find(name)
+    rule = system._by_name.get(name)
     if rule is None:
         raise UnknownRuleName((), f"unknown rule {name}")
     if rule.arity != len(child_elems):
@@ -281,7 +282,7 @@ def _apply_named(system: RuleSystem, name: str, child_elems: tuple):
             f"rule {name} expects {rule.arity} premise(s), "
             f"node has {len(child_elems)}",
         )
-    result = rule.apply(child_elems)
+    result = rule.fn(*child_elems)
     if result is None:
         raise RuleUndefined(
             (),
@@ -312,20 +313,31 @@ def check_full_tree(system: RuleSystem, tree: Tree) -> None:
 
 
 def infer_full_tree(system: RuleSystem, name_tree: Tree) -> Tree:
-    """Run a name-labeled tree bottom-up, attaching the element each node derives."""
-
-    def go(node: Tree) -> Tree:
-        children = []
-        try:
-            for child in node.children:
-                children.append(go(child))
-        except Rejected as err:
-            err.path = (len(children), *err.path)
-            raise
-        result = _apply_named(system, node.label, tuple(c.label[0] for c in children))
-        return Tree((result, node.label), tuple(children))
-
-    return go(name_tree)
+    """Run a name-labeled tree bottom-up, attaching the element each node
+    derives.  Loops down a run of one-child nodes and back up; recurses
+    only at nodes with two or more children."""
+    names, node = [], name_tree
+    while len(node.children) == 1:
+        names.append(node.label)
+        node = node.children[0]
+    children: list = []
+    try:
+        for child in node.children:
+            children.append(infer_full_tree(system, child))
+    except Rejected as err:
+        err.path = (0,) * len(names) + (len(children), *err.path)
+        raise
+    try:
+        element = _apply_named(system, node.label, tuple(c.label[0] for c in children))
+        full = Tree((element, node.label), tuple(children))
+        while names:
+            name = names.pop()
+            element = _apply_named(system, name, (element,))
+            full = Tree((element, name), (full,))
+    except Rejected as err:  # at the node len(names) levels down the run
+        err.path = (0,) * len(names) + err.path
+        raise
+    return full
 
 
 def infer_conclusion(system: RuleSystem, name_tree: Tree) -> Element:

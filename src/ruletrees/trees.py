@@ -55,18 +55,34 @@ def record(*fields: str, defaults: tuple = ()) -> type:
 class Tree(record("label", "children", defaults=((),))):
     __slots__ = ()
 
+    # Like every name-tree walk, these loop down a run of one-child nodes and
+    # recurse only at nodes with two or more children.
     def height(self) -> int:
         """Number of nodes on the longest root-to-leaf path."""
-        if not self.children:
-            return 1
-        return 1 + max(map(Tree.height, self.children))
+        height, node = 1, self
+        while len(node.children) == 1:
+            height, node = height + 1, node.children[0]
+        if node.children:
+            height += max(map(Tree.height, node.children))
+        return height
 
     def size(self) -> int:
-        return 1 + sum(map(Tree.size, self.children))
+        size, node = 1, self
+        while len(node.children) == 1:
+            size, node = size + 1, node.children[0]
+        return size + sum(map(Tree.size, node.children))
 
     def map_labels(self, fn: Callable[[Any], Any]) -> Tree:
-        children = map(Tree.map_labels, self.children, itertools.repeat(fn))
-        return Tree(fn(self.label), tuple(children))
+        """The same shape with `fn` applied to every label, in preorder."""
+        labels, node = [], self
+        while len(node.children) == 1:
+            labels.append(fn(node.label))
+            node = node.children[0]
+        children = map(Tree.map_labels, node.children, itertools.repeat(fn))
+        tree = Tree(fn(node.label), tuple(children))
+        for label in reversed(labels):
+            tree = Tree(label, (tree,))
+        return tree
 
     def nodes(self) -> Iterator[tuple[tuple[int, ...], Tree]]:
         """Preorder traversal yielding (path, subtree)."""
@@ -156,32 +172,46 @@ _NAME_TOKEN_RE = re.compile(rf"{NAME_RE.pattern}|[(),]")
 
 
 def parse_name_tree(text: str) -> Tree:
-    """Parse the linear form into a tree with string labels."""
+    """Parse the linear form into a tree with string labels, without recursion."""
     cur = TokenCursor(text, _NAME_TOKEN_RE)
-    tree = _parse_node(cur)
-    cur.end()
-    return tree
-
-
-def _parse_node(cur: TokenCursor) -> Tree:
-    name = cur.peek()
-    if name in "(),":  # also true for "", the end of the text
-        cur.fail("expected a rule name")
-    cur.next()
-    if not cur.take("(") or cur.take(")"):
-        return Tree(name)
-    children = [_parse_node(cur)]
-    while cur.take(","):
-        children.append(_parse_node(cur))
-    cur.expect(")", "',' or ')'")
-    return Tree(name, tuple(children))
+    tokens, stack, i = cur.tokens, [], 0
+    while True:
+        name = tokens[i]
+        if name in "(),":  # also true for "", the end of the text
+            cur.index = i
+            cur.fail("expected a rule name")
+        if tokens[i + 1] == "(" and tokens[i + 2] != ")":
+            stack.append((name, []))
+            i += 2
+            continue
+        i += 3 if tokens[i + 1] == "(" else 1
+        node = Tree(name)
+        while stack:  # `node` is complete: file it under the open node
+            stack[-1][1].append(node)
+            if tokens[i] == ",":
+                i += 1
+                break
+            if tokens[i] != ")":
+                cur.index = i
+                cur.fail("expected ',' or ')'")
+            name, children = stack.pop()
+            node, i = Tree(name, tuple(children)), i + 1
+        else:
+            cur.index = i
+            cur.end()
+            return node
 
 
 def print_name_tree(tree: Tree) -> str:
-    if not tree.children:
-        return str(tree.label)
-    inner = ", ".join(map(print_name_tree, tree.children))
-    return f"{tree.label}({inner})"
+    if len(tree.children) != 1:
+        if not tree.children:
+            return str(tree.label)
+        return f"{tree.label}({', '.join(map(print_name_tree, tree.children))})"
+    opened = []  # "name(" of each node down a run of one-child nodes
+    while len(tree.children) == 1:
+        opened.append(f"{tree.label}(")
+        tree = tree.children[0]
+    return "".join(opened) + print_name_tree(tree) + ")" * len(opened)
 
 
 def tree_to_latex(tree: Tree, label_parts: Callable[[Any], tuple[str, str]]) -> str:
@@ -191,9 +221,15 @@ def tree_to_latex(tree: Tree, label_parts: Callable[[Any], tuple[str, str]]) -> 
     node are laid out above its conclusion.  The output uses an `\\irule`
     macro with the conventional three arguments.
     """
-    conclusion, name = label_parts(tree.label)
+    closers = ["}{%s}{%s}" % label_parts(tree.label)]
+    while len(tree.children) == 1:  # down a run of one-child nodes
+        tree = tree.children[0]
+        closers.append("}{%s}{%s}" % label_parts(tree.label))
+    closers.reverse()
+    if not tree.children:
+        return "\\irule{" * len(closers) + "".join(closers)
     premises = " ~~~ ".join(map(tree_to_latex, tree.children, itertools.repeat(label_parts)))
-    return "\\irule{%s}{%s}{%s}" % (premises, conclusion, name)
+    return "\\irule{" * len(closers) + premises + "".join(closers)
 
 
 LATEX_PREAMBLE = (

@@ -12,6 +12,7 @@ import ruletrees
 from ruletrees import recfun as rf
 from ruletrees.cli import build_parser, run
 from ruletrees.errors import ResourceLimit
+from ruletrees.trees import LATEX_PREAMBLE
 
 PARITY_TEXT = """\
 state even
@@ -403,20 +404,38 @@ def test_handlers_return_their_outcome_and_print_nothing(capsys, parity_file, ar
     assert invoke(capsys, *argv) == (code, "".join(f"{line}\n" for line in lines), "")
 
 
+def _deep_sequent_file(levels: int) -> str:
+    """P |- P by and-elim1 from P |- P /\\ P, by and-intro from P |- P (the
+    chain goes on) and an axiom P |- P, down to `levels` levels: a node with
+    two children every second level."""
+    lines = []
+    for level in range(0, levels, 2):
+        lines.append("  " * level + "P |- P  [and-elim1]")
+        lines.append("  " * (level + 1) + "P |- P /\\ P  [and-intro]")
+    lines.append("  " * levels + "P |- P  [axiom]")
+    lines += ["  " * level + "P |- P  [axiom]" for level in range(levels, 0, -2)]
+    return "\n".join(lines)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["infer", "--system", "even", "f2(" * 700 + "f1" + ")" * 700, "--latex"],
-        ["nfa", "derivations", "LOOP", "--state", "s", "--word", "a" * 600, "--latex"],
+        # natded's term reader recurses once per nesting level: fails at parse
+        ["natded", "check", "--form", "scheme",
+         "fun [P] " + "fst(<" * 700 + "hyp [P]" + ", hyp [P]>)" * 700, "--latex"],
+        # 1 500 nodes with two children on one path, more than the limit
+        # even where calls from C code have a limit of their own (3.12 on):
+        # fails inside the LaTeX printer
+        ["natded", "check", "--form", "sequent", "@DEEP", "--latex"],
     ],
-    ids=["infer", "nfa-derivations"],
+    ids=["natded-scheme", "natded-sequent"],
 )
 def test_a_latex_run_that_fails_prints_nothing(capsys, tmp_path, argv):
     """The preamble is not printed ahead of a failure; the RecursionError
-    itself stays until handlers run on a larger stack (ROADMAP item 4)."""
-    loop = tmp_path / "loop.nfa"
-    loop.write_text("state s\nletter a\ntrans s a s\nfinal s\n")
-    argv = [str(loop) if arg == "LOOP" else arg for arg in argv]
+    itself stays until handlers run on a larger stack (ROADMAP item 3)."""
+    deep = tmp_path / "deep.deriv"
+    deep.write_text(_deep_sequent_file(3_000))
+    argv = [f"@{deep}" if arg == "@DEEP" else arg for arg in argv]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # the interpreter's default
     try:
@@ -425,6 +444,39 @@ def test_a_latex_run_that_fails_prints_nothing(capsys, tmp_path, argv):
     finally:
         sys.setrecursionlimit(limit)
     assert capsys.readouterr().out == ""
+
+
+def _latex_chain(parts: list) -> str:
+    """The `\\irule` document of a chain, built from the leaf up: `parts`
+    lists (conclusion, rule name) from the root down."""
+    text = "\\irule{}{%s}{%s}" % parts[-1]
+    for conclusion, name in reversed(parts[:-1]):
+        text = "\\irule{%s}{%s}{%s}" % (text, conclusion, name)
+    return f"{LATEX_PREAMBLE}\n$${text}$$\n"
+
+
+def test_a_700_level_infer_prints_its_latex_document(capsys):
+    assert sys.getrecursionlimit() < 1_400
+    tree = "f2(" * 700 + "f1" + ")" * 700
+    code, out, err = invoke(capsys, "infer", "--system", "even", tree, "--latex")
+    parts = [(str(2 * (700 - i)), "f_{2}") for i in range(700)] + [("0", "f_{1}")]
+    assert (code, out, err) == (0, _latex_chain(parts), "")
+
+
+def test_a_600_letter_run_prints_its_latex_document(capsys, tmp_path):
+    loop = tmp_path / "loop.nfa"
+    loop.write_text("state s\nletter a\ntrans s a s\nfinal s\n")
+    code, out, err = invoke(
+        capsys, "nfa", "derivations", str(loop), "--state", "s", "--word", "a" * 600, "--latex"
+    )
+    parts = [("s", "a_{1}")] * 600 + [("s", "\\varepsilon_{1}")]
+    assert (code, out, err) == (0, _latex_chain(parts), "")
+
+
+def test_a_1500_level_witness_prints(capsys):
+    assert sys.getrecursionlimit() < 3_000
+    code, out, err = invoke(capsys, "even", "member", "3000", "--depth", "1501")
+    assert (code, out, err) == (0, "f2(" * 1500 + "f1" + ")" * 1500 + "\n", "")
 
 
 def test_usage_errors(capsys):

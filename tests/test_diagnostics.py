@@ -8,6 +8,10 @@ ParseError message and position, and the same Rejected class, reason and
 path, from both on random valid inputs and on broken ones.  It also keeps
 the earlier sequent-file reader, which recursed once per level, and
 requires the same tree or the same ParseError from the stack-based one.
+Last, it keeps the name-tree reader, printers, shape queries and
+inference that recursed once per node, and requires the same output,
+ParseError or Rejected from the walks that loop down runs of one-child
+nodes, on trees that mix long runs with branching nodes.
 """
 
 from __future__ import annotations
@@ -26,7 +30,15 @@ from ruletrees import engine
 from ruletrees import natded as nd
 from ruletrees import recfun as rf
 from ruletrees.errors import ArityMismatch, IllFormed, ParseError, Rejected
-from ruletrees.trees import Tree, check_nodes, parse_name_tree, print_name_tree
+from ruletrees.trees import (
+    _NAME_TOKEN_RE,
+    Tree,
+    TokenCursor,
+    check_nodes,
+    parse_name_tree,
+    print_name_tree,
+    tree_to_latex,
+)
 
 _seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -835,3 +847,135 @@ def test_a_3000_level_sequent_file_parses_and_checks():
     while tree.children:
         tree, depth = tree.children[0], depth + 1
     assert depth == 3_000
+
+
+# ------------------------------------------------------ runs of one-child nodes
+
+def rec_parse_name_tree(text):
+    """The reader that recursed once per node."""
+    cur = TokenCursor(text, _NAME_TOKEN_RE)
+    tree = _rec_node(cur)
+    cur.end()
+    return tree
+
+
+def _rec_node(cur):
+    name = cur.peek()
+    if name in "(),":
+        cur.fail("expected a rule name")
+    cur.next()
+    if not cur.take("(") or cur.take(")"):
+        return Tree(name)
+    children = [_rec_node(cur)]
+    while cur.take(","):
+        children.append(_rec_node(cur))
+    cur.expect(")", "',' or ')'")
+    return Tree(name, tuple(children))
+
+
+def rec_print_name_tree(tree):
+    if not tree.children:
+        return str(tree.label)
+    return f"{tree.label}({', '.join(map(rec_print_name_tree, tree.children))})"
+
+
+def rec_tree_to_latex(tree, label_parts):
+    conclusion, name = label_parts(tree.label)
+    premises = " ~~~ ".join(rec_tree_to_latex(c, label_parts) for c in tree.children)
+    return "\\irule{%s}{%s}{%s}" % (premises, conclusion, name)
+
+
+def rec_height(tree):
+    return 1 + max(map(rec_height, tree.children), default=0)
+
+
+def rec_size(tree):
+    return 1 + sum(map(rec_size, tree.children))
+
+
+def rec_map_labels(tree, fn):
+    label = fn(tree.label)
+    return Tree(label, tuple(rec_map_labels(c, fn) for c in tree.children))
+
+
+def rec_infer_full_tree(system, name_tree):
+    """Inference that recursed once per node, putting each child index in
+    front of a failing node's path on the way out."""
+    children = []
+    try:
+        for child in name_tree.children:
+            children.append(rec_infer_full_tree(system, child))
+    except Rejected as err:
+        err.path = (len(children), *err.path)
+        raise
+    result = engine._apply_named(system, name_tree.label, tuple(c.label[0] for c in children))
+    return Tree((result, name_tree.label), tuple(children))
+
+
+# z, s, d, p, t take 0, 1, 1, 2 and 3 premises; s is undefined past 30, so
+# long runs of it fail part of the way up
+RUN_SYSTEM = engine.RuleSystem(
+    (
+        engine.Rule("z", 0, lambda: 0),
+        engine.Rule("s", 1, lambda a: a + 1 if a < 30 else None),
+        engine.Rule("d", 1, lambda a: 2 * a % 97),
+        engine.Rule("p", 2, lambda a, b: a + b),
+        engine.Rule("t", 3, lambda a, b, c: a * b + c),
+    )
+)
+_RUN_NAMES = {0: ("z",), 1: ("s", "d"), 2: ("p",), 3: ("t",)}
+
+
+def random_run_tree(rng: random.Random, depth: int = 3) -> Tree:
+    """A run of one-child nodes (often none, sometimes up to 80) above a leaf
+    or a node with 2 or 3 children, nested `depth` runs deep at most.  Labels
+    mostly fit the node's child count in RUN_SYSTEM; 1 in 50 is any name or
+    an unknown one."""
+
+    def name(children: int) -> str:
+        if rng.random() < 0.02:
+            return rng.choice(("z", "s", "d", "p", "t", "q"))
+        return rng.choice(_RUN_NAMES[children])
+
+    if depth == 0 or rng.random() < 0.3:
+        tree = Tree(name(0))
+    else:
+        kids = tuple(random_run_tree(rng, depth - 1) for _ in range(rng.randint(2, 3)))
+        tree = Tree(name(len(kids)), kids)
+    for _ in range(rng.choice((0, 0, 1, 2, rng.randint(3, 80)))):
+        tree = Tree(name(1), (tree,))
+    return tree
+
+
+def _with_empty_parens(rng: random.Random, text: str) -> str:
+    """`text` with some leaves written `name()`."""
+    return re.sub(r"(?<=[^\s(),])(?=[,)]|$)", lambda _: "()" if rng.random() < 0.3 else "", text)
+
+
+@given(_seeds)
+def test_one_child_runs_read_and_print_like_the_recursive_reader(seed):
+    rng = random.Random(seed)
+    tree = random_run_tree(rng)
+    text = rec_print_name_tree(tree)
+    assert print_name_tree(tree) == text
+    assert parse_name_tree(text) == tree
+    for _ in range(4):
+        edited = broken(rng, _with_empty_parens(rng, text))
+        assert outcome(parse_name_tree, edited) == outcome(rec_parse_name_tree, edited), edited
+
+
+@given(_seeds)
+def test_one_child_runs_walk_like_the_recursive_walks(seed):
+    rng = random.Random(seed)
+    tree = random_run_tree(rng)
+    assert (tree.height(), tree.size()) == (rec_height(tree), rec_size(tree))
+    seen, rec_seen = [], []
+    mapped = tree.map_labels(lambda label: seen.append(label) or label.upper())
+    assert mapped == rec_map_labels(tree, lambda label: rec_seen.append(label) or label.upper())
+    assert seen == rec_seen  # fn runs in preorder
+    got = outcome(engine.infer_full_tree, RUN_SYSTEM, tree)
+    assert got == outcome(rec_infer_full_tree, RUN_SYSTEM, tree)
+    if got[0] == "ok":
+        full = got[1]
+        for parts in (lambda label: (str(label[0]), label[1]), lambda label: (label[1], "")):
+            assert tree_to_latex(full, parts) == rec_tree_to_latex(full, parts)

@@ -256,6 +256,31 @@ def test_tree_walks_need_one_python_frame_per_level():
     assert _chain_labels(elements) == [label[0] for label in full]
 
 
+def test_a_20000_level_chain_runs_through_every_walk():
+    """The reader, inference, the checks, the printers and the shape queries
+    loop down a run of one-child nodes, so a chain far deeper than the
+    recursion limit goes through all of them."""
+    levels = 20_000
+    assert sys.getrecursionlimit() < levels
+    text = "f2(" * levels + "f1" + ")" * levels
+    names = parse_name_tree(text)
+    full = infer_full_tree(EVEN, names)
+    check_full_tree(EVEN, full)
+    assert full.label == (2 * levels, "f2")
+    assert _chain_labels(full) == [(2 * i, "f2") for i in range(levels, 0, -1)] + [(0, "f1")]
+    assert print_name_tree(names) == text
+    assert print_name_tree(erase_elements(full)) == text
+    assert (names.height(), full.size()) == (levels + 1, levels + 1)
+    closers = "".join("}{%d}{f2}" % (2 * i) for i in range(1, levels + 1))
+    latex = tree_to_latex(full, lambda label: (str(label[0]), label[1]))
+    assert latex == "\\irule{" * levels + "\\irule{}{0}{f1}" + closers
+    with pytest.raises(ArityMismatch) as info:  # the innermost f2 has no premise
+        infer_full_tree(EVEN, parse_name_tree("f2(" * levels + "f2" + ")" * levels))
+    assert (info.value.path, info.value.reason) == (
+        (0,) * levels, "rule f2 expects 1 premise(s), node has 0"
+    )
+
+
 def test_tree_checks_stay_iterative_at_depth():
     check_full_tree(EVEN, _even_chain(5000))
     check_elem_tree(EVEN, _even_chain(5000, lambda n, name: n))
@@ -282,6 +307,20 @@ def test_a_rule_used_where_it_is_undefined_is_rejected():
     with pytest.raises(RuleUndefined) as info:
         check_full_tree(halving, Tree((1, "h"), (Tree((2, "h"), (Tree((5, "z")),)),)))
     assert (info.value.path, info.value.reason) == ((0,), "rule h is undefined at (5)")
+
+
+def test_elements_that_render_alike_keep_discovery_order():
+    """1 and "1" render alike and do not order: the pool is sorted by
+    rendering alone, so the two keep discovery order and are never compared."""
+    system = RuleSystem(
+        (
+            Rule("one", 0, lambda: 1),
+            Rule("text", 0, lambda: "1"),
+            Rule("cat", 2, lambda a, b: f"{a}{b}" if len(f"{a}{b}") == 2 else None),
+        )
+    )
+    assert iterate(system, 3) == (frozenset({1, "1", "11"}), 2)
+    assert member(system, "11", 2) == Tree(("11", "cat"), (Tree((1, "one")), Tree((1, "one"))))
 
 
 def test_erasures_project_labelings():
