@@ -162,7 +162,7 @@ def derivations_of(nfa: Nfa, state: str, word: Word) -> list[Tree]:
         for name, lt, premise, conclusion in edges:
             if lt == letter and conclusion in states and premise in chains:
                 runs = step.setdefault(conclusion, [])
-                runs.extend(Tree(name, (t,)) for t in chains[premise])
+                runs.extend(tuple.__new__(Tree, (name, (t,))) for t in chains[premise])
         chains = step
     return chains.get(state, [])
 

@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable
 
 from .errors import ArityMismatch, Rejected, ResourceLimit
-from .trees import NAME_RE, Tree, check_nodes, record
+from .trees import NAME_RE, Tree, check_nodes, first_path, record
 
 Element = Any
 
@@ -296,26 +296,43 @@ def check_full_tree(system: RuleSystem, tree: Tree) -> None:
     """Check a tree labeled with (element, rule name) pairs.
 
     The named rule must be defined at the children's elements and yield
-    the node's element.  Raises at the first failing node in preorder.
+    the node's element.  A loop applies each rule inline; the first node
+    in preorder it fails gets the detailed check, which raises.
     """
-
-    def check(node: Tree) -> None:
-        element, name = node.label
-        result = _apply_named(system, name, tuple(c.label[0] for c in node.children))
-        if result != element:
-            raise Rejected(
-                (),
-                f"rule {name} yields {render_element(result)}, "
-                f"node is labeled {render_element(element)}",
-            )
-
-    check_nodes(tree, check)
+    get = system._by_name.get
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        (element, name), children = node
+        rule = get(name)
+        if rule is None or rule.arity != len(children):
+            break
+        if len(children) == 1:
+            result = rule.fn(children[0].label[0])
+            stack.append(children[0])
+        else:
+            result = rule.fn(*[child.label[0] for child in children])
+            stack.extend(reversed(children))
+        if result is None or result != element:
+            break
+    else:
+        return
+    try:
+        result = _apply_named(system, name, tuple(c.label[0] for c in children))
+        raise Rejected(
+            (),
+            f"rule {name} yields {render_element(result)}, "
+            f"node is labeled {render_element(element)}",
+        )
+    except Rejected as err:
+        err.path = first_path(tree, node)
+        raise
 
 
 def infer_full_tree(system: RuleSystem, name_tree: Tree) -> Tree:
     """Run a name-labeled tree bottom-up, attaching the element each node
-    derives.  Loops down a run of one-child nodes and back up; recurses
-    only at nodes with two or more children."""
+    derives.  Loops down a run of one-child nodes and back up, applying
+    each rule inline; recurses only at nodes with two or more children."""
     names, node = [], name_tree
     while len(node.children) == 1:
         names.append(node.label)
@@ -327,16 +344,23 @@ def infer_full_tree(system: RuleSystem, name_tree: Tree) -> Tree:
     except Rejected as err:
         err.path = (0,) * len(names) + (len(children), *err.path)
         raise
-    try:
-        element = _apply_named(system, node.label, tuple(c.label[0] for c in children))
-        full = Tree((element, node.label), tuple(children))
-        while names:
-            name = names.pop()
-            element = _apply_named(system, name, (element,))
-            full = Tree((element, name), (full,))
-    except Rejected as err:  # at the node len(names) levels down the run
-        err.path = (0,) * len(names) + err.path
-        raise
+    get, name, children = system._by_name.get, node.label, tuple(children)
+    rule = get(name)
+    element = None
+    if rule is not None and rule.arity == len(children):
+        element = rule.fn(*[child.label[0] for child in children])
+    full = tuple.__new__(Tree, ((element, name), children))
+    while names and element is not None:
+        name = names.pop()
+        rule = get(name)
+        element = rule.fn(element) if rule is not None and rule.arity == 1 else None
+        full = tuple.__new__(Tree, ((element, name), (full,)))
+    if element is None:  # raise at `full`, len(names) levels down the run
+        try:
+            _apply_named(system, name, tuple(c.label[0] for c in full.children))
+        except Rejected as err:
+            err.path = (0,) * len(names) + err.path
+            raise
     return full
 
 

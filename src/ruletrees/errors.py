@@ -3,7 +3,8 @@
 Checking failures always point at a node: the path is the sequence of
 child indices from the root, so () is the root itself.  Walks build it
 only once a node fails: each recursive frame the error passes puts the
-child indices below it in front, and `trees.check_nodes` finds the node again.
+child indices below it in front, and the check walks, which loop, find
+the failing node again with `trees.first_path`, in linear time.
 """
 
 from __future__ import annotations

@@ -53,6 +53,10 @@ def record(*fields: str, defaults: tuple = ()) -> type:
 
 
 class Tree(record("label", "children", defaults=((),))):
+    # Tree has no validating `__new__`: `tuple.__new__(Tree, (label, children))`
+    # is the same value as `Tree(label, children)`, built without namedtuple's
+    # Python-level `__new__`.  Only the hot builders use it: `parse_name_tree`,
+    # `engine.infer_full_tree` and the runs of `automata.derivations_of`.
     __slots__ = ()
 
     # Like every name-tree walk, these loop down a run of one-child nodes and
@@ -94,11 +98,27 @@ class Tree(record("label", "children", defaults=((),))):
                 stack.append((path + (i,), node.children[i]))
 
 
+def first_path(tree: Tree, target: Tree) -> tuple[int, ...]:
+    """The path of the first occurrence of `target` in `tree` in preorder,
+    found in one walk that keeps the current path in a list: linear time."""
+    path, siblings, node = [], [], tree
+    while node is not target:
+        if node.children:
+            path.append(0)
+            siblings.append(node.children)
+        else:  # up past the last children, then on to the next sibling
+            while path[-1] + 1 == len(siblings[-1]):
+                del path[-1], siblings[-1]
+            path[-1] += 1
+        node = siblings[-1][path[-1]]
+    return tuple(path)
+
+
 def check_nodes(tree: Tree, check: Callable[[Tree], None]) -> None:
-    """Call `check` on every node of `tree` in preorder, building no paths.
-    A Rejected it raises gets the path of the first occurrence of its node
-    in preorder, found by a second walk: as `check` sees the node alone,
-    that is where a subtree occurring at several paths fails first."""
+    """Call `check` on every node of `tree` in preorder, in a loop that
+    builds no paths.  A Rejected it raises gets the path of the first
+    occurrence of its node, found by `first_path`: as `check` sees the node
+    alone, that is where a subtree occurring at several paths fails first."""
     stack = [tree]
     try:
         while stack:
@@ -106,7 +126,7 @@ def check_nodes(tree: Tree, check: Callable[[Tree], None]) -> None:
             check(node)
             stack.extend(reversed(node.children))
     except Rejected as err:
-        err.path = next(path for path, seen in tree.nodes() if seen is node)
+        err.path = first_path(tree, node)
         raise
 
 
@@ -185,7 +205,7 @@ def parse_name_tree(text: str) -> Tree:
             i += 2
             continue
         i += 3 if tokens[i + 1] == "(" else 1
-        node = Tree(name)
+        node = tuple.__new__(Tree, (name, ()))
         while stack:  # `node` is complete: file it under the open node
             stack[-1][1].append(node)
             if tokens[i] == ",":
@@ -195,7 +215,7 @@ def parse_name_tree(text: str) -> Tree:
                 cur.index = i
                 cur.fail("expected ',' or ')'")
             name, children = stack.pop()
-            node, i = Tree(name, tuple(children)), i + 1
+            node, i = tuple.__new__(Tree, (name, tuple(children))), i + 1
         else:
             cur.index = i
             cur.end()

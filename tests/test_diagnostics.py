@@ -11,7 +11,9 @@ requires the same tree or the same ParseError from the stack-based one.
 Last, it keeps the name-tree reader, printers, shape queries and
 inference that recursed once per node, and requires the same output,
 ParseError or Rejected from the walks that loop down runs of one-child
-nodes, on trees that mix long runs with branching nodes.
+nodes, on trees that mix long runs with branching nodes.  Faults planted
+in such trees, once inferred, must get the same Rejected from the check
+loops, which apply each rule inline, as from the path-carrying checks.
 """
 
 from __future__ import annotations
@@ -979,3 +981,70 @@ def test_one_child_runs_walk_like_the_recursive_walks(seed):
         full = got[1]
         for parts in (lambda label: (str(label[0]), label[1]), lambda label: (label[1], "")):
             assert tree_to_latex(full, parts) == rec_tree_to_latex(full, parts)
+
+
+def relabel_at(tree: Tree, path: tuple[int, ...], label) -> Tree:
+    """`tree` with the node at `path` relabeled, rebuilt up the path in a loop."""
+    spine = [tree]
+    for i in path:
+        spine.append(spine[-1].children[i])
+    node = Tree(label, spine[-1].children)
+    for parent, i in zip(reversed(spine[:-1]), reversed(path)):
+        node = Tree(parent.label, parent.children[:i] + (node,) + parent.children[i + 1:])
+    return node
+
+
+def inferred_run_tree(rng: random.Random) -> Tree:
+    """A random run tree, inferred after renaming each node where inference
+    fails to the rule of its child count that is defined everywhere (z, d,
+    p or t), so that long runs survive."""
+    tree = random_run_tree(rng)
+    for _ in range(tree.size()):  # each failure renames one node
+        try:
+            return engine.infer_full_tree(RUN_SYSTEM, tree)
+        except Rejected as err:
+            node = tree
+            for i in err.path:
+                node = node.children[i]
+            tree = relabel_at(tree, err.path, _RUN_NAMES[len(node.children)][-1])
+    return engine.infer_full_tree(RUN_SYSTEM, tree)
+
+
+def plant_fault(rng: random.Random, full: Tree) -> Tree:
+    """`full` with one node given a wrong element, the unknown name q, a name
+    of the wrong arity, or the name s over a child past 30, where s is
+    undefined.  The node is drawn from all nodes, so most lie down a run."""
+    nodes = list(full.nodes())
+    past_30 = [(p, n) for p, n in nodes if len(n.children) == 1 and n.children[0].label[0] >= 30]
+    kind = rng.choice(("element", "unknown", "arity", "undefined"))
+    path, node = rng.choice(past_30 if kind == "undefined" and past_30 else nodes)
+    element, name = node.label
+    if kind == "element":
+        label = (element + rng.choice((-1, 1, 40)), name)
+    elif kind == "unknown":
+        label = (element, "q")
+    elif kind == "arity":
+        wrong = [n for k, names in _RUN_NAMES.items() if k != len(node.children) for n in names]
+        label = (element, rng.choice(wrong))
+    else:
+        label = (element, "s")
+    return relabel_at(full, path, label)
+
+
+@given(_seeds)
+def test_one_child_runs_check_like_the_path_carrying_walks(seed):
+    """The check loop applies each rule inline and diagnoses only the node it
+    stops at: faults planted in inferred run trees, often far down a run,
+    get the class, reason and path of the walk that carried a path."""
+    rng = random.Random(seed)
+    full = inferred_run_tree(rng)
+    assert outcome(engine.check_full_tree, RUN_SYSTEM, full) == ("ok", None)
+    for _ in range(rng.randint(1, 3)):
+        full = plant_fault(rng, full)
+        assert outcome(engine.check_full_tree, RUN_SYSTEM, full) == outcome(
+            ref_check_full_tree, RUN_SYSTEM, full
+        )
+        elems = engine.erase_names(full)
+        assert outcome(engine.check_elem_tree, RUN_SYSTEM, elems) == outcome(
+            ref_check_elem_tree, RUN_SYSTEM, elems
+        )

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given
@@ -307,6 +308,80 @@ def test_a_rule_used_where_it_is_undefined_is_rejected():
     with pytest.raises(RuleUndefined) as info:
         check_full_tree(halving, Tree((1, "h"), (Tree((2, "h"), (Tree((5, "z")),)),)))
     assert (info.value.path, info.value.reason) == ((0,), "rule h is undefined at (5)")
+
+
+def test_a_bad_leaf_under_100_000_levels_is_found_in_linear_time():
+    """The path of the failing node is found in one walk that builds a tuple
+    only for that node: the path search used to build one per node."""
+    levels = 99_999  # the chain's elements are all shifted by one
+    full = _even_chain(levels, lambda n, name: (n + 1, name))
+    elems = _even_chain(levels, lambda n, name: n + 1)
+    start = time.perf_counter()
+    with pytest.raises(Rejected) as full_info:
+        check_full_tree(EVEN, full)
+    with pytest.raises(Rejected) as elem_info:
+        check_elem_tree(EVEN, elems)
+    assert time.perf_counter() - start < 1.0
+    assert (full_info.value.path, full_info.value.reason) == (
+        (0,) * levels, "rule f1 yields 0, node is labeled 1"
+    )
+    assert (elem_info.value.path, elem_info.value.reason) == (
+        (0,) * levels, "no rule derives 1 from ()"
+    )
+
+
+def test_a_rule_returning_none_at_a_node_labeled_none_is_undefined():
+    """The check loop accepts a node only when its rule returns something
+    other than None, so the element None is no escape."""
+    system = RuleSystem(
+        (
+            Rule("z", 0, lambda: 5),
+            Rule("h", 1, lambda n: n // 2 if n % 2 == 0 else None),
+            Rule("g", 1, lambda n: 1),
+        )
+    )
+    with pytest.raises(RuleUndefined) as info:
+        check_full_tree(system, Tree((1, "g"), (Tree((None, "h"), (Tree((5, "z")),)),)))
+    assert (info.value.path, info.value.reason) == ((0,), "rule h is undefined at (5)")
+
+
+def test_infer_is_undefined_halfway_up_a_run():
+    """z = 4 halves to 2 and 1, then h is undefined: the third h from the
+    bottom of the run fails, below the root and below a branching node."""
+    halving = RuleSystem(
+        (
+            Rule("z", 0, lambda: 4),
+            Rule("h", 1, lambda n: n // 2 if n % 2 == 0 else None),
+            Rule("p", 2, lambda a, b: a + b),
+        )
+    )
+    for text, path in (("h(h(h(h(h(z)))))", (0, 0)), ("p(z, h(h(h(h(z)))))", (1, 0))):
+        with pytest.raises(RuleUndefined) as info:
+            infer_full_tree(halving, parse_name_tree(text))
+        assert (info.value.path, info.value.reason) == (path, "rule h is undefined at (1)")
+
+
+def test_check_and_infer_call_each_rule_once_per_node():
+    calls = []
+
+    def counted(name, fn):
+        return Rule(name, fn.__code__.co_argcount, lambda *args: calls.append(name) or fn(*args))
+
+    system = RuleSystem(
+        (
+            counted("z", lambda: 1),
+            counted("s", lambda a: a + 1),
+            counted("p", lambda a, b: a + b),
+            counted("t", lambda a, b, c: a * b + c),
+        )
+    )
+    names = parse_name_tree("t(s(s(p(z, s(z)))), p(z, z), s(t(z, s(z), z)))")
+    full = infer_full_tree(system, names)
+    expected = sorted(node.label for _, node in names.nodes())
+    assert sorted(calls) == expected
+    calls.clear()
+    check_full_tree(system, full)
+    assert sorted(calls) == expected
 
 
 def test_elements_that_render_alike_keep_discovery_order():
