@@ -111,19 +111,25 @@ def step(
     return frozenset(out)
 
 
-def _layers(system: RuleSystem, known: dict, max_size: int, limit_message: str):
+def _layer_tries(rules, n: int, f: int) -> int:
+    """The tuples a layer after the first tries: over the `n` elements known
+    before it, the k-tuples holding one of the `f` new in the last layer."""
+    return sum(n**rule.arity - (n - f) ** rule.arity for rule in rules)
+
+
+def _layers(system: RuleSystem, known: dict, max_size: int, limit_message: str, target=None):
     """The closure layers, computed semi-naively, until a fixed point.
 
     Records in `known`, for each element reached, the first rule
     application reaching it as `known[element] = (rule, args)`: rules in
     system order, argument tuples in the order of the full product over
     the render-sorted pool.  Each yielded layer lists its new elements in
-    discovery order.  A tuple made only of elements older than the
-    previous layer yields an element found already, so a layer tries
-    only the tuples that hold a `fresh` element, one new in the previous
-    layer (render-sorted), and each arity walks them in its own loop:
+    discovery order.  Layer 0 applies the nullary rules, the only layer
+    that does.  A tuple made only of elements older than the previous
+    layer yields an element found already, so a later layer tries only
+    the tuples that hold a `fresh` element, one new in the previous layer
+    (render-sorted), and each arity walks them in its own loop:
 
-    - nullary rules fire in the first layer only, the one with an empty pool;
     - a unary rule walks `fresh`;
     - a binary rule pairs each pool element with the whole pool if it is
       fresh and with `fresh` if not;
@@ -134,12 +140,19 @@ def _layers(system: RuleSystem, known: dict, max_size: int, limit_message: str):
     Only rules of arity 2 or more read the pool, so it is kept only for
     systems that have one.  Raises ResourceLimit(limit_message) once
     more than `max_size` elements are known.
+
+    Given a `target`, it returns, without yielding the layer that reaches
+    it, at the end of the first binary rule's row (a pool element and all
+    its partners) that ends after the target's first application, if the
+    layer cannot pass `max_size` (it adds at most `_layer_tries`
+    elements); if it can, the layer runs on and raises as without a target.
     """
     wide = any(rule.arity >= 2 for rule in system.rules)
+    rules = [(rule, rule.fn, rule.arity) for rule in system.rules if rule.arity]
     ranked: list = []  # the pool as (rendering, element), sorted
     pool: list = []
-    fresh: list = []
     fresh_set: set = set()
+    layer: list = []
 
     def found(result, rule, args):  # a new element, reached by rule(*args)
         known[result] = (rule, args)
@@ -147,10 +160,23 @@ def _layers(system: RuleSystem, known: dict, max_size: int, limit_message: str):
             raise ResourceLimit(limit_message)
         layer.append(result)
 
-    while True:
-        layer: list = []
-        for rule in system.rules:
-            fn, arity = rule.fn, rule.arity
+    for rule in system.rules:
+        result = rule.fn() if rule.arity == 0 else None
+        if result is not None and result not in known:
+            found(result, rule, ())
+    while layer:
+        yield layer
+        fresh = layer
+        if len(layer) > 1 or wide:  # skipped by `even`: one element a layer, no pool
+            # by rendering alone: the stable sort keeps ties in discovery order
+            keyed = sorted([(render_element(e), e) for e in layer], key=itemgetter(0))
+            fresh = [element for _, element in keyed]
+            if wide:  # two sorted runs: the sort merges them in linear time
+                ranked = sorted(ranked + keyed, key=itemgetter(0))
+                pool = [element for _, element in ranked]
+                fresh_set = set(layer)
+        layer = []
+        for rule, fn, arity in rules:
             if arity == 1:
                 for a in fresh:
                     result = fn(a)
@@ -162,32 +188,22 @@ def _layers(system: RuleSystem, known: dict, max_size: int, limit_message: str):
                         result = fn(a, b)
                         if result is not None and result not in known:
                             found(result, rule, (a, b))
+                    if target in known:
+                        n = len(pool)
+                        if n + _layer_tries(system.rules, n, len(fresh)) <= max_size:
+                            return
+                        target = None
             else:
-                if arity == 0:
-                    tuples = () if fresh else ((),)  # only the first layer has no fresh
-                else:
-                    tuples = itertools.chain.from_iterable(
-                        itertools.product(
-                            *zip(prefix), fresh if fresh_set.isdisjoint(prefix) else pool
-                        )
-                        for prefix in itertools.product(pool, repeat=arity - 1)
+                tuples = itertools.chain.from_iterable(
+                    itertools.product(
+                        *zip(prefix), fresh if fresh_set.isdisjoint(prefix) else pool
                     )
+                    for prefix in itertools.product(pool, repeat=arity - 1)
+                )
                 for args in tuples:
                     result = fn(*args)
                     if result is not None and result not in known:
                         found(result, rule, args)
-        if not layer:
-            return
-        yield layer
-        fresh = layer
-        if len(layer) > 1 or wide:  # skipped by `even`: one element a layer, no pool
-            # by rendering alone: the stable sort keeps ties in discovery order
-            keyed = sorted([(render_element(e), e) for e in layer], key=itemgetter(0))
-            fresh = [element for _, element in keyed]
-            if wide:  # two sorted runs: the sort merges them in linear time
-                ranked = sorted(ranked + keyed, key=itemgetter(0))
-                pool = [element for _, element in ranked]
-                fresh_set = set(layer)
 
 
 def iterate(
@@ -224,15 +240,19 @@ def member(
     height; within a layer, ties go to the earliest rule in the system
     and then to the first argument tuple in rendering order.  Returns
     None when the element is not derivable within `depth` layers.
+
+    The search stops soon after the first application reaching `element`
+    (see `_layers`) and raises ResourceLimit exactly as a whole-layer
+    search does; a rule raising on a later tuple breaks the `fn` contract.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     known: dict = {}
-    layers = _layers(system, known, max_size, f"more than {max_size} derivable elements")
+    layers = _layers(system, known, max_size, f"more than {max_size} derivable elements", element)
     for _ in itertools.islice(layers, depth):
         if element in known:
             break
-    else:
+    if element not in known:
         return None
     # the witness's elements, built in discovery order: arguments come first
     needed = set()

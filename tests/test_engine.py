@@ -717,3 +717,97 @@ def test_resource_limit_fires_at_the_same_rule_call(system, max_size, calls, las
             search(_logged(system, log), *args, max_size=max_size)
         assert (len(log), log[-1]) == (calls, last)
 
+
+
+def _max_sizes(system, steps):
+    """Bounds across the closure's sizes, and at and just under each
+    layer's known elements plus its tries, where `member`'s stop flips."""
+    layers = _expected_layers(system, steps)
+    sizes = [len(_naive_iterate(system, k)[0]) for k in range(len(layers))]
+    edges = [size + len(calls) for size, calls in zip(sizes[1:], layers[1:])]
+    return [*sizes, *edges, *(edge - 1 for edge in edges), DEFAULT_MAX_SET_SIZE]
+
+
+def _expected_member_calls(system, element, depth, max_size):
+    """The rule calls of `member` and whether it raises ResourceLimit,
+    read off the calls of whole layers: a layer that reaches `element`
+    ends at the first binary row (one rule, one first argument) ending at
+    or after the element's first application, when the elements known
+    before it plus its calls stay within `max_size`; the search ends at
+    the call that passes `max_size`."""
+    rules = {rule.name: rule for rule in system.rules}
+    seen: set = set()
+    log = []
+    for calls in _expected_layers(system, depth):
+        before, reached = len(seen), False
+        for index, (name, args) in enumerate(calls):
+            log.append((name, args))
+            result = rules[name].fn(*args)
+            if result is not None and result not in seen:
+                seen.add(result)
+                if len(seen) > max_size:
+                    return log, True
+                reached = reached or result == element
+            nxt = calls[index + 1] if index + 1 < len(calls) else (None, (None,))
+            row_end = len(args) == 2 and (nxt[0], nxt[1][0]) != (name, args[0])
+            if reached and row_end and before + len(calls) <= max_size:
+                return log, False
+        if element in seen:
+            break
+    return log, False
+
+
+@given(_seeds)
+def test_member_call_order_stops_after_the_targets_row(seed):
+    rng = random.Random(seed)
+    system = generators.wide_system(rng)
+    max_size = rng.choice(_max_sizes(system, 6))
+    for element in generators.WIDE_DOMAIN:
+        depth = rng.randint(1, 6)
+        log = []
+        outcome = _outcome(member, _logged(system, log), element, depth, max_size=max_size)
+        raised = outcome == (ResourceLimit, f"more than {max_size} derivable elements")
+        assert (log, raised) == _expected_member_calls(system, element, depth, max_size)
+
+
+@given(_seeds)
+def test_member_matches_naive_reference_across_max_sizes(seed):
+    rng = random.Random(seed)
+    system = generators.wide_system(rng)
+    max_size = rng.choice(_max_sizes(system, 6))
+    for element in generators.WIDE_DOMAIN:
+        depth = rng.randint(1, 6)
+        assert _outcome(member, system, element, depth, max_size=max_size) == _outcome(
+            _naive_member, system, element, depth, max_size=max_size
+        )
+
+
+@given(_seeds)
+def test_layer_tries_counts_the_calls_of_each_layer(seed):
+    system = generators.wide_system(random.Random(seed))
+    layers = _expected_layers(system, 7)
+    sizes = [len(_naive_iterate(system, k)[0]) for k in range(len(layers))]
+    for i in range(1, len(layers)):
+        tries = engine._layer_tries(system.rules, sizes[i], sizes[i] - sizes[i - 1])
+        assert tries == len(layers[i])
+
+
+def test_member_stop_holds_the_bound_at_its_edge():
+    # the layer reaching 9 (index 4) starts with 8 known elements, 4 of
+    # them fresh, tries 8**2 - 4**2 = 48 pairs and adds 9..16; its first
+    # row pairs 1 with the fresh 5..8 and ends at add(1, 8) = 9
+    adder = RuleSystem(
+        (Rule("one", 0, lambda: 1), Rule("add", 2, lambda a, b: a + b if a + b <= 150 else None))
+    )
+    assert engine._layer_tries(adder.rules, 8, 4) == 48
+    with pytest.raises(ResourceLimit, match="^more than 12 derivable elements$"):
+        member(adder, 9, 6, max_size=12)
+    whole = []
+    iterate(_logged(adder, whole), 5)
+    assert len(whole) == 17 + 48 and whole[17 + 3] == ("add", (1, 8))
+    # 8 + 48 elements at most: the stop holds from max_size 56 and not at 55
+    for max_size, calls in ((100, 17 + 4), (56, 17 + 4), (55, 17 + 48)):
+        log = []
+        witness = member(_logged(adder, log), 9, 6, max_size=max_size)
+        assert witness == _naive_member(adder, 9, 6, max_size=max_size)
+        assert log == whole[:calls]
