@@ -11,8 +11,8 @@ after sorting that letter's rules by (premise, conclusion); final
 states get nullary rules eps1, eps2, ... in state-name order.
 
 `recognizes` and `derivations_of` share one subset simulation.  The
-runs are then built from the last letter back, so a tail common to
-several runs is one shared `Tree`.
+runs are then built from the rule names alone, from the last letter
+back, so a tail common to several runs is one shared `Tree`.
 
 The file format is line oriented:
 
@@ -26,8 +26,10 @@ with `#` starting a comment.
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from .errors import ParseError, Rejected
-from .trees import Tree, record
+from .trees import NAME_RE, Tree, record
 from .engine import Rule, RuleSystem
 
 Word = tuple[str, ...]
@@ -76,19 +78,23 @@ class CompiledRules(record("system", "edges", "finals", "erasure")):
     __slots__ = ()
 
 
-def compile_nfa(nfa: Nfa) -> CompiledRules:
-    edges = []
-    for letter in sorted(nfa.alphabet):
-        letter_edges = sorted(
-            (target, source)
-            for source, lt, target in nfa.transitions
-            if lt == letter
-        )
-        for k, (premise, conclusion) in enumerate(letter_edges, start=1):
-            edges.append((f"{letter}{k}", letter, premise, conclusion))
-    finals = [
-        (f"eps{j}", state) for j, state in enumerate(sorted(nfa.finals), start=1)
+def _named(nfa: Nfa) -> tuple[list, list]:
+    """The names of the rules: the letter rules as (name, letter, premise,
+    conclusion), letter by letter, and the final rules as (name, state)."""
+    by_letter = {}
+    for source, letter, target in nfa.transitions:
+        by_letter.setdefault(letter, []).append((target, source))
+    edges = [
+        (f"{letter}{k}", letter, premise, conclusion)
+        for letter in sorted(by_letter)
+        for k, (premise, conclusion) in enumerate(sorted(by_letter[letter]), start=1)
     ]
+    finals = [(f"eps{j}", state) for j, state in enumerate(sorted(nfa.finals), start=1)]
+    return edges, finals
+
+
+def compile_nfa(nfa: Nfa) -> CompiledRules:
+    edges, finals = _named(nfa)
     rules = [
         Rule(name, 1, lambda x, p=premise, c=conclusion: c if x == p else None)
         for name, _, premise, conclusion in edges
@@ -131,11 +137,14 @@ def _reach(nfa: Nfa, state: str, word: Word) -> list[set[str]]:
     set of states it is in after `i` letters."""
     if state not in nfa.states:
         raise UnknownState(f"unknown state {state}")
+    steps = {}
+    for source, letter, target in nfa.transitions:
+        steps.setdefault(letter, []).append((source, target))
     reach = [{state}]
     for letter in word:
         if letter not in nfa.alphabet:
             raise UnknownLetter(f"unknown letter {letter}")
-        reach.append({t for s, lt, t in nfa.transitions if lt == letter and s in reach[-1]})
+        reach.append({t for s, t in steps.get(letter, ()) if s in reach[-1]})
     return reach
 
 
@@ -144,23 +153,35 @@ def recognizes(nfa: Nfa, state: str, word: Word) -> bool:
     return bool(_reach(nfa, state, word)[-1] & nfa.finals)
 
 
+def _check_names(names: list[str]) -> None:
+    """Raise what `Rule` and `RuleSystem` would on these names, in order."""
+    # every name ends in a digit, so the names are valid when their join is
+    if names and not NAME_RE.fullmatch("".join(names)):
+        bad = next(name for name in names if not NAME_RE.fullmatch(name))
+        raise ValueError(f"invalid rule name {bad!r}")
+    if len(set(names)) < len(names):
+        again = next(name for i, name in enumerate(names) if name in names[:i])
+        raise ValueError(f"duplicate rule name {again}")
+
+
 def derivations_of(nfa: Nfa, state: str, word: Word) -> list[Tree]:
     """All name-labeled derivation chains concluding `state` and spelling
-    `word`, sorted by their linear form."""
+    `word`, sorted by their linear form, built from the rule names alone."""
     word = tuple(word)
     reach = _reach(nfa, state, word)
-    compiled = compile_nfa(nfa)
-    edges = sorted(compiled.edges)
+    edges, finals = _named(nfa)
+    _check_names([edge[0] for edge in edges] + [name for name, _ in finals])
     # chains[s] lists the runs from s over the rest of the word.  Skipping
     # the states `state` is not in after i letters spares tails that could
     # be exponentially many and are never used.  The rules extending one
     # state spell one letter, so their names differ only in the index, and
     # "(" sorts below every digit: walking them by name keeps linear-form order.
-    chains = {final: [Tree(name)] for name, final in compiled.finals}
+    steps = {letter: sorted(rules) for letter, rules in groupby(edges, lambda edge: edge[1])}
+    chains = {final: [Tree(name)] for name, final in finals}
     for letter, states in zip(reversed(word), reversed(reach[:-1])):
         step = {}
-        for name, lt, premise, conclusion in edges:
-            if lt == letter and conclusion in states and premise in chains:
+        for name, _, premise, conclusion in steps.get(letter, ()):
+            if conclusion in states and premise in chains:
                 runs = step.setdefault(conclusion, [])
                 runs.extend(tuple.__new__(Tree, (name, (t,))) for t in chains[premise])
         chains = step

@@ -13,8 +13,8 @@ Each outcome prints one message on one stream and exits with one code:
     ResourceLimit: a composition listing more than 14284   stderr  1
       inner programs (`recfun godel`, `recfun ungodel`)
     syntax error: ..., usage, @FILE or file errors,        stderr  2
-      unknown state or letter, duplicate rule name, eval arity,
-      diagonal oracle
+      unknown state or letter, duplicate or invalid rule name,
+      eval arity, diagonal oracle
 
 `run` decides every outcome.  A handler returns its exit code and its
 stdout lines and prints nothing, so nothing reaches stdout before a

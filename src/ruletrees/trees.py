@@ -223,15 +223,14 @@ def parse_name_tree(text: str) -> Tree:
 
 
 def print_name_tree(tree: Tree) -> str:
-    if len(tree.children) != 1:
-        if not tree.children:
-            return str(tree.label)
-        return f"{tree.label}({', '.join(map(print_name_tree, tree.children))})"
-    opened = []  # "name(" of each node down a run of one-child nodes
+    names = []  # the labels down a run and of the node below it, then its children's text
     while len(tree.children) == 1:
-        opened.append(f"{tree.label}(")
+        names.append(f"{tree.label}")
         tree = tree.children[0]
-    return "".join(opened) + print_name_tree(tree) + ")" * len(opened)
+    names.append(f"{tree.label}")
+    if tree.children:
+        names.append(", ".join(map(print_name_tree, tree.children)))
+    return "(".join(names) + ")" * (len(names) - 1)
 
 
 def tree_to_latex(tree: Tree, label_parts: Callable[[Any], tuple[str, str]]) -> str:

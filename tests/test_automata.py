@@ -23,7 +23,7 @@ from ruletrees.automata import (
     parse_word,
     recognizes,
 )
-from ruletrees.engine import check_full_tree, infer_conclusion, infer_full_tree
+from ruletrees.engine import Rule, RuleSystem, check_full_tree, infer_conclusion, infer_full_tree
 from ruletrees.errors import ParseError
 from ruletrees.trees import Tree, parse_name_tree, print_name_tree
 
@@ -369,6 +369,89 @@ def test_states_off_the_simulation_build_no_tails(monkeypatch):
     monkeypatch.setattr(automata, "Tree", lambda *fields: built.append(fields) or Tree(*fields))
     assert derivations_of(machine, "x", ("a",) * 12) == []
     assert built == [("eps1",), ("eps2",)]
+
+
+def test_derivations_build_no_rules(monkeypatch):
+    built = []
+    monkeypatch.setattr(automata, "Rule", lambda *fields: built.append(fields) or Rule(*fields))
+    assert len(derivations_of(COMPLETE, "p", ("a",) * 3)) == 8
+    clash = parse_nfa("state s0\nletter eps\ntrans s0 eps s0\nfinal s0\n")
+    with pytest.raises(ValueError, match=r"^duplicate rule name eps1$"):
+        derivations_of(clash, "s0", ("eps",))
+    paren = parse_nfa("state s0\nletter (\ntrans s0 ( s0\nfinal s0\n")
+    with pytest.raises(ValueError, match=r"^invalid rule name '\(1'$"):
+        derivations_of(paren, "s0", ("(",))
+    assert built == []
+    compile_nfa(COMPLETE)  # the counting Rule is the one compiling calls
+    assert len(built) == 6
+
+
+def compiled_derivations_of(nfa: Nfa, state: str, word) -> list[Tree]:
+    """The earlier version: the subset simulation scanning every transition
+    per letter, then the whole rule system compiled for the rule names, then
+    the walk from the last letter back over every rule for each letter."""
+    word = tuple(word)
+    if state not in nfa.states:
+        raise UnknownState(f"unknown state {state}")
+    reach = [{state}]
+    for letter in word:
+        if letter not in nfa.alphabet:
+            raise UnknownLetter(f"unknown letter {letter}")
+        reach.append({t for s, lt, t in nfa.transitions if lt == letter and s in reach[-1]})
+    edges = []
+    for letter in sorted(nfa.alphabet):
+        letter_edges = sorted((t, s) for s, lt, t in nfa.transitions if lt == letter)
+        for k, (premise, conclusion) in enumerate(letter_edges, start=1):
+            edges.append((f"{letter}{k}", letter, premise, conclusion))
+    finals = [(f"eps{j}", final) for j, final in enumerate(sorted(nfa.finals), start=1)]
+    rules = [Rule(name, 1, lambda x: x) for name, _, _, _ in edges]
+    RuleSystem(tuple(rules + [Rule(name, 0, lambda: s) for name, s in finals]))
+    chains = {final: [Tree(name)] for name, final in finals}
+    for letter, states in zip(reversed(word), reversed(reach[:-1])):
+        step = {}
+        for name, lt, premise, conclusion in sorted(edges):
+            if lt == letter and conclusion in states and premise in chains:
+                step.setdefault(conclusion, []).extend(Tree(name, (t,)) for t in chains[premise])
+        chains = step
+    return chains.get(state, [])
+
+
+def clashing_nfa(rng: random.Random) -> Nfa:
+    """Up to four states over letters that may make colliding rule names
+    (`eps` beside a final state; `a1` beside 11 or more `a` transitions) or
+    no rule name at all (`(`, `x,y`, `b)`)."""
+    states = ("s0", "s1", "s2", "s3")[: rng.randint(1, 4)]
+    letters = ["a"] + rng.sample(("a1", "eps", "b"), rng.randint(0, 3))
+    if rng.random() < 0.25:
+        letters.append(rng.choice(("(", "x,y", "b)")))
+    pairs = list(itertools.product(states, states))
+    transitions = {
+        (source, letter, target)
+        for letter in letters
+        for source, target in rng.sample(pairs, rng.randint(0, len(pairs)))
+    }
+    finals = frozenset(state for state in states if rng.random() < 0.5)
+    return Nfa(frozenset(states), frozenset(letters), frozenset(transitions), finals)
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", [print_name_tree(t) for t in fn(*args)]
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@given(_seeds)
+def test_derivations_match_the_compiling_walk(seed):
+    rng = random.Random(seed)
+    machine = clashing_nfa(rng)
+    letters = sorted(machine.alphabet)
+    for state in sorted(machine.states) + ["limbo"]:
+        for word in (rng.choices(letters, k=rng.randint(0, 4)) for _ in range(4)):
+            if rng.random() < 0.1:
+                word.insert(rng.randint(0, len(word)), "z")
+            got = _outcome(derivations_of, machine, state, word)
+            assert got == _outcome(compiled_derivations_of, machine, state, word), word
 
 
 def test_a_3000_letter_word_has_its_run():

@@ -367,6 +367,22 @@ def test_colliding_rule_names_stop_compiling_but_not_running(capsys, tmp_path, t
     assert (code, out) == (0, "recognized\n")
 
 
+def test_a_letter_that_makes_no_rule_name_stops_compiling_but_not_running(capsys, tmp_path):
+    # "(" is a letter of the file format, but "(1" reads as no rule name
+    path = tmp_path / "paren.nfa"
+    path.write_text("state s0\nletter (\nletter a\ntrans s0 ( s0\ntrans s0 a s0\nfinal s0\n")
+    for argv in (
+        ["nfa", "rules", str(path)],
+        ["nfa", "derivations", str(path), "--state", "s0", "--word", "a"],
+        ["nfa", "derivations", str(path), "--state", "s0", "--word", "("],
+        ["infer", "--system", str(path), "eps1"],
+    ):
+        assert invoke(capsys, *argv) == (2, "", "invalid rule name '(1'\n")
+    for word in ("(", "a(a"):
+        code, out, _ = invoke(capsys, "nfa", "run", str(path), "--state", "s0", "--word", word)
+        assert (code, out) == (0, "recognized\n")
+
+
 def test_nfa_rules_of_an_automaton_without_rules_print_nothing(capsys, tmp_path):
     path = tmp_path / "bare.nfa"
     path.write_text("state s\nletter a\n")

@@ -11,9 +11,10 @@ requires the same tree or the same ParseError from the stack-based one.
 Last, it keeps the name-tree reader, printers, shape queries and
 inference that recursed once per node, and requires the same output,
 ParseError or Rejected from the walks that loop down runs of one-child
-nodes, on trees that mix long runs with branching nodes.  Faults planted
-in such trees, once inferred, must get the same Rejected from the check
-loops, which apply each rule inline, as from the path-carrying checks.
+nodes, on trees that mix long runs with branching nodes; the printers
+also on labels that are not strings.  Faults planted in such trees, once
+inferred, must get the same Rejected from the check loops, which apply
+each rule inline, as from the path-carrying checks.
 """
 
 from __future__ import annotations
@@ -964,6 +965,35 @@ def test_one_child_runs_read_and_print_like_the_recursive_reader(seed):
     for _ in range(4):
         edited = broken(rng, _with_empty_parens(rng, text))
         assert outcome(parse_name_tree, edited) == outcome(rec_parse_name_tree, edited), edited
+
+
+class Tagged:
+    """A label that formats through its own `__str__`."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __str__(self):
+        return f"<{self.name}>"
+
+
+# labels that are not strings: both printers format each as an f-string would
+OTHER_LABELS = (ord, lambda name: (name, 1), lambda name: None, lambda name: ord(name) / 4, Tagged)
+
+
+@given(_seeds)
+def test_one_child_runs_print_any_label_like_the_recursive_printer(seed):
+    rng = random.Random(seed)
+    # a run of 1 to 40 one-child nodes above a node with 2 or 3 children
+    kids = tuple(random_run_tree(rng) for _ in range(rng.randint(2, 3)))
+    tree = Tree("p" if len(kids) == 2 else "t", kids)
+    for _ in range(rng.randint(1, 40)):
+        tree = Tree("s", (tree,))
+    assert print_name_tree(tree) == rec_print_name_tree(tree)
+    numbered = tree.map_labels(ord)
+    assert print_name_tree(numbered) == rec_print_name_tree(numbered)
+    mixed = tree.map_labels(lambda name: rng.choice(OTHER_LABELS + (str,))(name))
+    assert print_name_tree(mixed) == rec_print_name_tree(mixed)
 
 
 @given(_seeds)
