@@ -26,8 +26,6 @@ with `#` starting a comment.
 
 from __future__ import annotations
 
-from itertools import groupby
-
 from .errors import ParseError, Rejected
 from .trees import NAME_RE, Tree, record
 from .engine import Rule, RuleSystem
@@ -78,23 +76,30 @@ class CompiledRules(record("system", "edges", "finals", "erasure")):
     __slots__ = ()
 
 
-def _named(nfa: Nfa) -> tuple[list, list]:
-    """The names of the rules: the letter rules as (name, letter, premise,
-    conclusion), letter by letter, and the final rules as (name, state)."""
+def _by_letter(nfa: Nfa) -> dict[str, list]:
+    """Each letter's transitions as (target, source): its rules' premises
+    and conclusions."""
     by_letter = {}
     for source, letter, target in nfa.transitions:
         by_letter.setdefault(letter, []).append((target, source))
-    edges = [
-        (f"{letter}{k}", letter, premise, conclusion)
-        for letter in sorted(by_letter)
-        for k, (premise, conclusion) in enumerate(sorted(by_letter[letter]), start=1)
-    ]
+    return by_letter
+
+
+def _named(nfa: Nfa, by_letter: dict[str, list]) -> tuple[dict, list]:
+    """The names of the rules: each letter's rules as (name, letter,
+    premise, conclusion), the letters in sorted order, and the final rules
+    as (name, state)."""
+    edges = {letter: [] for letter in sorted(by_letter)}
+    for letter, rules in edges.items():
+        for k, (premise, conclusion) in enumerate(sorted(by_letter[letter]), start=1):
+            rules.append((f"{letter}{k}", letter, premise, conclusion))
     finals = [(f"eps{j}", state) for j, state in enumerate(sorted(nfa.finals), start=1)]
     return edges, finals
 
 
 def compile_nfa(nfa: Nfa) -> CompiledRules:
-    edges, finals = _named(nfa)
+    named, finals = _named(nfa, _by_letter(nfa))
+    edges = [edge for rules in named.values() for edge in rules]
     rules = [
         Rule(name, 1, lambda x, p=premise, c=conclusion: c if x == p else None)
         for name, _, premise, conclusion in edges
@@ -132,25 +137,23 @@ def erase(compiled: CompiledRules, tree: Tree) -> Word:
         node = node.children[0]
 
 
-def _reach(nfa: Nfa, state: str, word: Word) -> list[set[str]]:
-    """The subset simulation from `state` over `word`: `reach[i]` is the
-    set of states it is in after `i` letters."""
+def _reach(nfa: Nfa, state: str, word: Word, by_letter: dict[str, list]) -> list[set[str]]:
+    """The subset simulation from `state` over `word`, given the
+    transitions grouped by letter: `reach[i]` is the set of states it is
+    in after `i` letters."""
     if state not in nfa.states:
         raise UnknownState(f"unknown state {state}")
-    steps = {}
-    for source, letter, target in nfa.transitions:
-        steps.setdefault(letter, []).append((source, target))
     reach = [{state}]
     for letter in word:
         if letter not in nfa.alphabet:
             raise UnknownLetter(f"unknown letter {letter}")
-        reach.append({t for s, t in steps.get(letter, ()) if s in reach[-1]})
+        reach.append({t for t, s in by_letter.get(letter, ()) if s in reach[-1]})
     return reach
 
 
 def recognizes(nfa: Nfa, state: str, word: Word) -> bool:
     """Standard subset-simulation run from `state` over `word`."""
-    return bool(_reach(nfa, state, word)[-1] & nfa.finals)
+    return bool(_reach(nfa, state, word, _by_letter(nfa))[-1] & nfa.finals)
 
 
 def _check_names(names: list[str]) -> None:
@@ -167,16 +170,17 @@ def _check_names(names: list[str]) -> None:
 def derivations_of(nfa: Nfa, state: str, word: Word) -> list[Tree]:
     """All name-labeled derivation chains concluding `state` and spelling
     `word`, sorted by their linear form, built from the rule names alone."""
-    word = tuple(word)
-    reach = _reach(nfa, state, word)
-    edges, finals = _named(nfa)
-    _check_names([edge[0] for edge in edges] + [name for name, _ in finals])
+    word, by_letter = tuple(word), _by_letter(nfa)
+    reach = _reach(nfa, state, word, by_letter)
+    edges, finals = _named(nfa, by_letter)
+    names = [edge[0] for rules in edges.values() for edge in rules]
+    _check_names(names + [name for name, _ in finals])
     # chains[s] lists the runs from s over the rest of the word.  Skipping
     # the states `state` is not in after i letters spares tails that could
     # be exponentially many and are never used.  The rules extending one
     # state spell one letter, so their names differ only in the index, and
     # "(" sorts below every digit: walking them by name keeps linear-form order.
-    steps = {letter: sorted(rules) for letter, rules in groupby(edges, lambda edge: edge[1])}
+    steps = {letter: sorted(rules) for letter, rules in edges.items()}
     chains = {final: [Tree(name)] for name, final in finals}
     for letter, states in zip(reversed(word), reversed(reach[:-1])):
         step = {}

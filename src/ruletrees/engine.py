@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable
 
 from .errors import ArityMismatch, Rejected, ResourceLimit
-from .trees import NAME_RE, Tree, check_nodes, first_path, record
+from .trees import NAME_RE, Tree, check_nodes, first_path, fold, record
 
 Element = Any
 
@@ -312,33 +312,12 @@ def _apply_named(system: RuleSystem, name: str, child_elems: tuple):
     return result
 
 
-def check_full_tree(system: RuleSystem, tree: Tree) -> None:
-    """Check a tree labeled with (element, rule name) pairs.
-
-    The named rule must be defined at the children's elements and yield
-    the node's element.  A loop applies each rule inline; the first node
-    in preorder it fails gets the detailed check, which raises.
-    """
-    get = system._by_name.get
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        (element, name), children = node
-        rule = get(name)
-        if rule is None or rule.arity != len(children):
-            break
-        if len(children) == 1:
-            result = rule.fn(children[0].label[0])
-            stack.append(children[0])
-        else:
-            result = rule.fn(*[child.label[0] for child in children])
-            stack.extend(reversed(children))
-        if result is None or result != element:
-            break
-    else:
-        return
+def _reject(system: RuleSystem, tree: Tree, node: Tree, name: str, elems: tuple, element=None):
+    """Raise the Rejected of `node` in `tree`, whose rule `name` takes the
+    children's elements `elems`, at the path of its first occurrence: from
+    `_apply_named`, or else because the rule does not yield `element`."""
     try:
-        result = _apply_named(system, name, tuple(c.label[0] for c in children))
+        result = _apply_named(system, name, elems)
         raise Rejected(
             (),
             f"rule {name} yields {render_element(result)}, "
@@ -349,39 +328,63 @@ def check_full_tree(system: RuleSystem, tree: Tree) -> None:
         raise
 
 
+def check_full_tree(system: RuleSystem, tree: Tree) -> None:
+    """Check a tree labeled with (element, rule name) pairs.
+
+    The named rule must be defined at the children's elements and yield
+    the node's element.  A loop applies each rule inline and passes over
+    a node with two or more children that has passed already; the first
+    node in preorder it fails gets the detailed check, which raises.
+    """
+    get = system._by_name.get
+    stack, passed = [tree], set()
+    while stack:
+        node = stack.pop()
+        (element, name), children = node
+        rule = get(name)
+        if rule is None or rule.arity != len(children):
+            result = None
+        elif len(children) == 1:
+            result = rule.fn(children[0].label[0])
+            stack.append(children[0])
+        elif children and id(node) in passed:
+            continue
+        else:
+            if children:
+                passed.add(id(node))
+            result = rule.fn(*[child.label[0] for child in children])
+            stack.extend(reversed(children))
+        if result is None or result != element:
+            _reject(system, tree, node, name, tuple(c.label[0] for c in children), element)
+
+
 def infer_full_tree(system: RuleSystem, name_tree: Tree) -> Tree:
     """Run a name-labeled tree bottom-up, attaching the element each node
-    derives.  Loops down a run of one-child nodes and back up, applying
-    each rule inline; recurses only at nodes with two or more children."""
-    names, node = [], name_tree
-    while len(node.children) == 1:
-        names.append(node.label)
-        node = node.children[0]
-    children: list = []
-    try:
-        for child in node.children:
-            children.append(infer_full_tree(system, child))
-    except Rejected as err:
-        err.path = (0,) * len(names) + (len(children), *err.path)
-        raise
-    get, name, children = system._by_name.get, node.label, tuple(children)
-    rule = get(name)
-    element = None
-    if rule is not None and rule.arity == len(children):
-        element = rule.fn(*[child.label[0] for child in children])
-    full = tuple.__new__(Tree, ((element, name), children))
-    while names and element is not None:
-        name = names.pop()
-        rule = get(name)
-        element = rule.fn(element) if rule is not None and rule.arity == 1 else None
-        full = tuple.__new__(Tree, ((element, name), (full,)))
-    if element is None:  # raise at `full`, len(names) levels down the run
-        try:
-            _apply_named(system, name, tuple(c.label[0] for c in full.children))
-        except Rejected as err:
-            err.path = (0,) * len(names) + err.path
-            raise
-    return full
+    derives: a `fold` that climbs each run of one-child nodes in a loop
+    applying each rule inline, and shares what it builds for a node with
+    two or more children wherever that node occurs."""
+    get = system._by_name.get
+
+    def node_value(node: Tree, children: tuple) -> Tree:
+        rule, children = get(node.label), tuple(children)
+        element = None
+        if rule is not None and rule.arity == len(children):
+            element = rule.fn(*[child.label[0] for child in children])
+        if element is None:
+            _reject(system, name_tree, node, node.label, tuple(c.label[0] for c in children))
+        return tuple.__new__(Tree, ((element, node.label), children))
+
+    def run_value(run: list, full: Tree) -> Tree:
+        element = full.label[0]
+        for node in reversed(run):
+            rule = get(node.label)
+            element = rule.fn(element) if rule is not None and rule.arity == 1 else None
+            if element is None:
+                _reject(system, name_tree, node, node.label, (full.label[0],))
+            full = tuple.__new__(Tree, ((element, node.label), (full,)))
+        return full
+
+    return fold(name_tree, node_value, run_value)
 
 
 def infer_conclusion(system: RuleSystem, name_tree: Tree) -> Element:

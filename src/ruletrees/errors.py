@@ -3,8 +3,9 @@
 Checking failures always point at a node: the path is the sequence of
 child indices from the root, so () is the root itself.  Walks build it
 only once a node fails: each recursive frame the error passes puts the
-child indices below it in front, and the check walks, which loop, find
-the failing node again with `trees.first_path`, in linear time.
+child indices below it in front, and the checks and `infer_full_tree`,
+which loop, find the first occurrence of the failing node again with
+`trees.first_path`, in time that grows with the tree's distinct nodes.
 """
 
 from __future__ import annotations

@@ -57,39 +57,29 @@ class Tree(record("label", "children", defaults=((),))):
     # is the same value as `Tree(label, children)`, built without namedtuple's
     # Python-level `__new__`.  Only the hot builders use it: `parse_name_tree`,
     # `engine.infer_full_tree` and the runs of `automata.derivations_of`.
+    # The folds go through `fold`; only the printers keep a run loop of their own.
     __slots__ = ()
 
-    # Like every name-tree walk, these loop down a run of one-child nodes and
-    # recurse only at nodes with two or more children.
     def height(self) -> int:
         """Number of nodes on the longest root-to-leaf path."""
-        height, node = 1, self
-        while len(node.children) == 1:
-            height, node = height + 1, node.children[0]
-        if node.children:
-            height += max(map(Tree.height, node.children))
-        return height
+        return fold(self, lambda node, heights: 1 + max(heights, default=0))
 
     def size(self) -> int:
-        size, node = 1, self
-        while len(node.children) == 1:
-            size, node = size + 1, node.children[0]
-        return size + sum(map(Tree.size, node.children))
+        """Number of nodes, each occurrence of a shared subtree counted."""
+        return fold(self, lambda node, sizes: 1 + sum(sizes))
 
     def map_labels(self, fn: Callable[[Any], Any]) -> Tree:
-        """The same shape with `fn` applied to every label, in preorder."""
-        labels, node = [], self
-        while len(node.children) == 1:
-            labels.append(fn(node.label))
-            node = node.children[0]
-        children = map(Tree.map_labels, node.children, itertools.repeat(fn))
-        tree = Tree(fn(node.label), tuple(children))
-        for label in reversed(labels):
-            tree = Tree(label, (tree,))
-        return tree
+        """The same shape with `fn` applied to every label, in preorder; a
+        node with two or more children is mapped once and stays shared."""
+        labels = []  # fn's values, put in in preorder and taken out last first
+        return fold(
+            self,
+            lambda node, children: Tree(labels.pop(), tuple(children)),
+            enter=lambda nodes: labels.extend([fn(node.label) for node in nodes]),
+        )
 
     def nodes(self) -> Iterator[tuple[tuple[int, ...], Tree]]:
-        """Preorder traversal yielding (path, subtree)."""
+        """Preorder traversal yielding (path, subtree), every occurrence."""
         stack = [((), self)]
         while stack:
             path, node = stack.pop()
@@ -98,14 +88,67 @@ class Tree(record("label", "children", defaults=((),))):
                 stack.append((path + (i,), node.children[i]))
 
 
+def fold(
+    tree: Tree, node_value: Callable, run_value: Callable | None = None, enter: Callable | None = None
+) -> Any:
+    """Fold `tree` children first, in one loop that handles each distinct
+    node with two or more children once and keeps its value by `id` for
+    the call.  `node_value(node, values)` is a node's value from its
+    children's values.  `run_value(run, value)`, if given, takes the place
+    of `node_value` on a whole run of one-child nodes, listed top-down,
+    above a node worth `value`.  `enter(nodes)`, if given, gets in preorder
+    the nodes reached going down: a run, then the node below it unless its
+    value is kept.
+
+    Runs keep no memo, so a tree that shares nothing pays for none.  A run
+    below several distinct one-child parents is walked once per parent:
+    polynomial in the distinct nodes, never a count of occurrences."""
+    known, stack, node = {}, [], tree  # stack: (run, node, values) of nodes under way
+    while True:
+        run = []
+        while len(node.children) == 1:
+            run.append(node)
+            node = node.children[0]
+        fresh = len(node.children) < 2 or id(node) not in known
+        if enter is not None:
+            enter(run + [node] if fresh else run)
+        if fresh and node.children:
+            stack.append((run, node, []))
+            node = node.children[0]
+            continue
+        value = node_value(node, ()) if fresh else known[id(node)]
+        while True:  # up, finishing each node whose last child this was
+            if run and run_value is not None:
+                value = run_value(run, value)
+            else:
+                for node in reversed(run):
+                    value = node_value(node, (value,))
+            if not stack:
+                return value
+            run, node, values = stack[-1]
+            values.append(value)
+            if len(values) < len(node.children):
+                node = node.children[len(values)]
+                break
+            stack.pop()
+            value = known[id(node)] = node_value(node, values)
+
+
 def first_path(tree: Tree, target: Tree) -> tuple[int, ...]:
     """The path of the first occurrence of `target` in `tree` in preorder,
-    found in one walk that keeps the current path in a list: linear time."""
-    path, siblings, node = [], [], tree
+    found in one walk that keeps the current path in a list.  A node with
+    two or more children already searched is passed over, so the time
+    grows with the distinct nodes, as `fold`'s does, not the occurrences."""
+    path, siblings, node, searched = [], [], tree, set()
     while node is not target:
-        if node.children:
+        children = node.children
+        if len(children) > 1:
+            if id(node) in searched:
+                children = ()
+            searched.add(id(node))
+        if children:
             path.append(0)
-            siblings.append(node.children)
+            siblings.append(children)
         else:  # up past the last children, then on to the next sibling
             while path[-1] + 1 == len(siblings[-1]):
                 del path[-1], siblings[-1]
@@ -116,13 +159,18 @@ def first_path(tree: Tree, target: Tree) -> tuple[int, ...]:
 
 def check_nodes(tree: Tree, check: Callable[[Tree], None]) -> None:
     """Call `check` on every node of `tree` in preorder, in a loop that
-    builds no paths.  A Rejected it raises gets the path of the first
+    builds no paths, passing over a node with two or more children that
+    has passed already.  A Rejected it raises gets the path of the first
     occurrence of its node, found by `first_path`: as `check` sees the node
     alone, that is where a subtree occurring at several paths fails first."""
-    stack = [tree]
+    stack, passed = [tree], set()
     try:
         while stack:
             node = stack.pop()
+            if len(node.children) > 1:
+                if id(node) in passed:
+                    continue
+                passed.add(id(node))
             check(node)
             stack.extend(reversed(node.children))
     except Rejected as err:

@@ -14,7 +14,11 @@ ParseError or Rejected from the walks that loop down runs of one-child
 nodes, on trees that mix long runs with branching nodes; the printers
 also on labels that are not strings.  Faults planted in such trees, once
 inferred, must get the same Rejected from the check loops, which apply
-each rule inline, as from the path-carrying checks.
+each rule inline, as from the path-carrying checks.  Last, trees that
+reuse subtrees as one object, with faults planted at one occurrence or at
+every occurrence of a node, must get the same values and the same
+Rejected from the folds and checks, which handle each distinct node with
+two or more children once, as from the walks that visit every occurrence.
 """
 
 from __future__ import annotations
@@ -1075,6 +1079,101 @@ def test_one_child_runs_check_like_the_path_carrying_walks(seed):
             ref_check_full_tree, RUN_SYSTEM, full
         )
         elems = engine.erase_names(full)
+        assert outcome(engine.check_elem_tree, RUN_SYSTEM, elems) == outcome(
+            ref_check_elem_tree, RUN_SYSTEM, elems
+        )
+
+
+# ------------------------------------------------------------ shared subtrees
+
+def rebuilt(tree: Tree, label, swap=None) -> Tree:
+    """`tree` relabeled by `label(node)`, with `swap` (a node and its
+    replacement) put in place of every occurrence of that node, rebuilt
+    once per distinct node, so that every reused subtree stays one object."""
+    done = {}
+
+    def go(node):
+        if swap is not None and node is swap[0]:
+            return swap[1]
+        if id(node) not in done:
+            done[id(node)] = Tree(label(node), tuple(map(go, node.children)))
+        return done[id(node)]
+
+    return go(tree)
+
+
+def random_dag(rng: random.Random) -> Tree:
+    """An inferred (element, name) tree over RUN_SYSTEM whose nodes take
+    their children from a pool of the nodes built before, so subtrees recur
+    as one object, with at most about 1 500 occurrences.  It always
+    holds a one-child node under two distinct one-child parents, and often
+    runs of one-child nodes over a reused node."""
+    count = {}  # id of a node -> its occurrences
+
+    def node(children, name=None):
+        if name is None:
+            name = rng.choice(_RUN_NAMES[len(children)])
+        elements = [child.label[0] for child in children]
+        element = RUN_SYSTEM.find(name).fn(*elements)
+        if element is None:  # s past 30
+            name, element = "d", RUN_SYSTEM.find("d").fn(*elements)
+        tree = Tree((element, name), tuple(children))
+        count[id(tree)] = 1 + sum(count[id(child)] for child in children)
+        return tree
+
+    def pick():
+        return rng.choice(pool[-2:] if rng.random() < 0.7 else pool)
+
+    pool = [node(())]
+    shared_run_at = rng.randrange(12)
+    for step in range(12):
+        if step == shared_run_at:  # a one-child node under u and v, both one-child
+            x = node((pick(),), rng.choice(("s", "d")))
+            pool.append(node((node((x,)), node((x,))), "p"))
+            continue
+        arity = rng.choice((0, 1, 1, 2, 2, 3))
+        children = tuple(pick() for _ in range(arity))
+        if sum(count[id(child)] for child in children) < 1_500:
+            tree = node(children)
+            for _ in range(rng.choice((0, 1, rng.randint(2, 12)))):
+                tree = node((tree,))
+            pool.append(tree)
+    return pool[-1] if rng.random() < 0.7 else max(pool, key=lambda tree: count[id(tree)])
+
+
+def plant_shared_fault(rng: random.Random, full: Tree) -> Tree:
+    """`full` with a node, drawn from all occurrences, replaced everywhere it
+    occurs by one copy with a fault planted inside it by `plant_fault`."""
+    _, target = rng.choice(list(full.nodes()))
+    return rebuilt(full, lambda node: node.label, (target, plant_fault(rng, target)))
+
+
+@given(_seeds)
+def test_shared_subtrees_fold_and_check_like_the_recursive_walks(seed):
+    """The folds and checks handle each distinct node with two or more
+    children once; on trees that reuse subtrees, with faults planted at one
+    occurrence or at every occurrence of a node, they give the values, and
+    the Rejected class, reason and path, of the walks that visit every
+    occurrence."""
+    rng = random.Random(seed)
+    full = random_dag(rng)
+    assert outcome(engine.check_full_tree, RUN_SYSTEM, full) == ("ok", None)
+    for _ in range(rng.randint(1, 3)):
+        plant = plant_fault if rng.random() < 0.5 else plant_shared_fault
+        full = plant(rng, full)
+        names = rebuilt(full, lambda node: node.label[1])
+        elems = rebuilt(full, lambda node: node.label[0])
+        for tree in (full, names):
+            assert (tree.height(), tree.size()) == (rec_height(tree), rec_size(tree))
+        assert full.map_labels(repr) == rec_map_labels(full, repr)
+        assert engine.erase_names(full) == rec_map_labels(full, lambda label: label[0]) == elems
+        assert engine.erase_elements(full) == rec_map_labels(full, lambda label: label[1]) == names
+        assert outcome(engine.infer_full_tree, RUN_SYSTEM, names) == outcome(
+            ref_infer_full_tree, RUN_SYSTEM, names
+        )
+        assert outcome(engine.check_full_tree, RUN_SYSTEM, full) == outcome(
+            ref_check_full_tree, RUN_SYSTEM, full
+        )
         assert outcome(engine.check_elem_tree, RUN_SYSTEM, elems) == outcome(
             ref_check_elem_tree, RUN_SYSTEM, elems
         )

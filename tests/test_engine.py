@@ -330,6 +330,80 @@ def test_a_bad_leaf_under_100_000_levels_is_found_in_linear_time():
     )
 
 
+# one + add(a, a): member's witness of 2**k has k + 1 distinct nodes and
+# reuses each subderivation for both premises, so it has 2**(k + 1) - 1
+# occurrences
+DOUBLING = RuleSystem(
+    (Rule("one", 0, lambda: 1), Rule("add", 2, lambda a, b: a + b if a == b else None))
+)
+
+
+def test_a_2_to_the_40_witness_goes_through_every_walk_in_linear_time():
+    start = time.perf_counter()
+    witness = member(DOUBLING, 2**40, 41)
+    assert (witness.height(), witness.size()) == (41, 2**41 - 1)
+    check_full_tree(DOUBLING, witness)
+    check_elem_tree(DOUBLING, erase_names(witness))
+    names = erase_elements(witness)
+    assert names.children[0] is names.children[1]
+    assert (names.height(), names.size()) == (41, 2**41 - 1)
+    full = infer_full_tree(DOUBLING, names)
+    assert full.label[0] == 2**40 and full.children[0] is full.children[1]
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_fault_in_the_right_half_of_a_shared_witness_has_its_first_path():
+    """The subderivation of 2**20 is renamed `bad` in the right half only:
+    the left half is the untouched shared witness of 2**39, which the walks
+    pass over, and the fault is reported where it first occurs, 19 levels
+    below the right half's root, down its leftmost path."""
+    witness = member(DOUBLING, 2**40, 41)
+    spine = [witness]  # spine[i] derives 2**(40 - i)
+    while spine[-1].children:
+        spine.append(spine[-1].children[0])
+    node = Tree((2**20, "bad"), spine[20].children)
+    for above in reversed(spine[1:20]):
+        node = Tree(above.label, (node, node))
+    broken = Tree(witness.label, (witness.children[0], node))
+    path = (1,) + (0,) * 19
+    start = time.perf_counter()
+    with pytest.raises(UnknownRuleName) as info:
+        check_full_tree(DOUBLING, broken)
+    assert (info.value.path, info.value.reason) == (path, "unknown rule bad")
+    with pytest.raises(UnknownRuleName) as info:
+        infer_full_tree(DOUBLING, erase_elements(broken))
+    assert (info.value.path, info.value.reason) == (path, "unknown rule bad")
+    assert broken.size() == 2**41 - 1
+    assert time.perf_counter() - start < 1.0
+
+
+def test_the_family_b_of_u_x_and_v_x_goes_through_every_walk_in_linear_time():
+    """x_k = b(u(x_{k-1}), v(x_{k-1})) reaches the shared x_{k-1} through two
+    distinct one-child nodes: at k = 40 it has 2**42 - 3 occurrences."""
+    k = 40
+    system = RuleSystem(
+        (
+            Rule("z", 0, lambda: 1),
+            Rule("u", 1, lambda a: a),
+            Rule("v", 1, lambda a: a),
+            Rule("b", 2, lambda a, b: a + b),
+        )
+    )
+    start = time.perf_counter()
+    names = Tree("z")
+    for _ in range(k):
+        names = Tree("b", (Tree("u", (names,)), Tree("v", (names,))))
+    assert (names.height(), names.size()) == (2 * k + 1, 2 ** (k + 2) - 3)
+    full = infer_full_tree(system, names)
+    assert full.label == (2**k, "b")
+    assert full.children[0].children[0] is full.children[1].children[0]
+    check_full_tree(system, full)
+    check_elem_tree(system, erase_names(full))
+    erased = erase_elements(full)
+    assert erased.children[0].children[0] is erased.children[1].children[0]
+    assert time.perf_counter() - start < 1.0
+
+
 def test_a_rule_returning_none_at_a_node_labeled_none_is_undefined():
     """The check loop accepts a node only when its rule returns something
     other than None, so the element None is no escape."""
