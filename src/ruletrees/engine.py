@@ -63,14 +63,16 @@ class RuleSystem(record("rules")):
     """A finite list of rules with distinct names, compared by `rules`."""
 
     def __new__(cls, rules: tuple[Rule, ...]):
-        by_name = {}
+        by_name, unary = {}, {}
         for rule in rules:
             if rule.name in by_name:
                 raise ValueError(f"duplicate rule name {rule.name}")
             by_name[rule.name] = rule
+            if rule.arity == 1:
+                unary[rule.name] = rule.fn
         self = super().__new__(cls, rules)
-        # a tuple subclass cannot have nonempty slots: the index goes in __dict__
-        self.__dict__["_by_name"] = by_name
+        # a tuple subclass cannot have nonempty slots: the indexes go in __dict__
+        self.__dict__.update(_by_name=by_name, _unary=unary)
         return self
 
     def __setattr__(self, name, value):
@@ -332,30 +334,37 @@ def check_full_tree(system: RuleSystem, tree: Tree) -> None:
     """Check a tree labeled with (element, rule name) pairs.
 
     The named rule must be defined at the children's elements and yield
-    the node's element.  A loop applies each rule inline and passes over
-    a node with two or more children that has passed already; the first
-    node in preorder it fails gets the detailed check, which raises.
+    the node's element.  A loop applies each rule inline, descends a run
+    of one-child nodes in a loop of its own, and passes over a node with
+    two or more children that has passed already; the first node in
+    preorder it fails gets the detailed check, which raises.
     """
-    get = system._by_name.get
+    get, unary = system._by_name.get, system._unary.get
     stack, passed = [tree], set()
     while stack:
         node = stack.pop()
         (element, name), children = node
-        rule = get(name)
-        if rule is None or rule.arity != len(children):
-            result = None
-        elif len(children) == 1:
-            result = rule.fn(children[0].label[0])
-            stack.append(children[0])
-        elif children and id(node) in passed:
-            continue
+        while len(children) == 1:  # down a run of one-child nodes
+            fn, child = unary(name), children[0]
+            (below, below_name), below_children = child
+            result = None if fn is None else fn(below)
+            if result is None or result != element:
+                break
+            node, element, name, children = child, below, below_name, below_children
         else:
-            if children:
-                passed.add(id(node))
-            result = rule.fn(*[child.label[0] for child in children])
-            stack.extend(reversed(children))
-        if result is None or result != element:
-            _reject(system, tree, node, name, tuple(c.label[0] for c in children), element)
+            rule = get(name)
+            if rule is None or rule.arity != len(children):
+                result = None
+            elif children and id(node) in passed:
+                continue
+            else:
+                if children:
+                    passed.add(id(node))
+                result = rule.fn(*[child.label[0] for child in children])
+                stack.extend(reversed(children))
+            if result is not None and result == element:
+                continue
+        _reject(system, tree, node, name, tuple(c.label[0] for c in children), element)
 
 
 def infer_full_tree(system: RuleSystem, name_tree: Tree) -> Tree:
@@ -363,7 +372,7 @@ def infer_full_tree(system: RuleSystem, name_tree: Tree) -> Tree:
     derives: a `fold` that climbs each run of one-child nodes in a loop
     applying each rule inline, and shares what it builds for a node with
     two or more children wherever that node occurs."""
-    get = system._by_name.get
+    get, unary = system._by_name.get, system._unary.get
 
     def node_value(node: Tree, children: tuple) -> Tree:
         rule, children = get(node.label), tuple(children)
@@ -377,11 +386,12 @@ def infer_full_tree(system: RuleSystem, name_tree: Tree) -> Tree:
     def run_value(run: list, full: Tree) -> Tree:
         element = full.label[0]
         for node in reversed(run):
-            rule = get(node.label)
-            element = rule.fn(element) if rule is not None and rule.arity == 1 else None
+            name = node[0]
+            fn = unary(name)
+            element = None if fn is None else fn(element)
             if element is None:
-                _reject(system, name_tree, node, node.label, (full.label[0],))
-            full = tuple.__new__(Tree, ((element, node.label), (full,)))
+                _reject(system, name_tree, node, name, (full.label[0],))
+            full = tuple.__new__(Tree, ((element, name), (full,)))
         return full
 
     return fold(name_tree, node_value, run_value)

@@ -22,7 +22,7 @@ class ParseError(ValueError):
 
     `position` is a character offset into the input, computed when the
     error is raised: where the failing token starts (all linear forms
-    share `trees.tokenize`), or the input's length at its end.
+    report it through `trees.TokenCursor`), or the input's length at its end.
     Line-oriented files give a line number instead.  `message` is the
     text without the position.
     """

@@ -10,9 +10,10 @@ where NAME is any nonempty run of characters other than parentheses,
 commas, and whitespace.  A nullary node may be written `f1` or `f1()`;
 the printer always emits the bare form.
 
-`tokenize` and `TokenCursor` serve all three linear forms (name trees,
-natded's proof terms, recfun's programs) with one token regex each.  A
-token is a plain string: a ParseError computes its position when raised.
+`tokenize` and `TokenCursor` read natded's proof terms and recfun's
+programs with one token regex each; name trees split off the same tokens
+by str methods and build a cursor only to report an error.  A token is a
+plain string: a ParseError computes its position when raised.
 """
 
 from __future__ import annotations
@@ -55,9 +56,10 @@ def record(*fields: str, defaults: tuple = ()) -> type:
 class Tree(record("label", "children", defaults=((),))):
     # Tree has no validating `__new__`: `tuple.__new__(Tree, (label, children))`
     # is the same value as `Tree(label, children)`, built without namedtuple's
-    # Python-level `__new__`.  Only the hot builders use it: `parse_name_tree`,
-    # `engine.infer_full_tree` and the runs of `automata.derivations_of`.
-    # The folds go through `fold`; only the printers keep a run loop of their own.
+    # Python-level `__new__`.  Only the hot builders use it: `parse_name_tree`
+    # (a one-child node as `(name, (node,))`), `engine.infer_full_tree` and the
+    # runs of `automata.derivations_of`.  The folds go through `fold`; the
+    # printers and `engine.check_full_tree` keep a run loop of their own.
     __slots__ = ()
 
     def height(self) -> int:
@@ -239,34 +241,45 @@ NAME_RE = re.compile(r"[^\s(),]+")
 _NAME_TOKEN_RE = re.compile(rf"{NAME_RE.pattern}|[(),]")
 
 
-def parse_name_tree(text: str) -> Tree:
-    """Parse the linear form into a tree with string labels, without recursion."""
+def _name_tokens(text: str) -> list[str]:
+    """`_NAME_TOKEN_RE.findall(text)` by str methods: no character is stray."""
+    return text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split()
+
+
+def _name_tree_error(text: str, index: int, message: str) -> NoReturn:
     cur = TokenCursor(text, _NAME_TOKEN_RE)
-    tokens, stack, i = cur.tokens, [], 0
+    cur.index = index
+    cur.fail(message)
+
+
+def parse_name_tree(text: str) -> Tree:
+    """Parse the linear form into a tree with string labels, without recursion;
+    a TokenCursor is built only to report an error."""
+    tokens = _name_tokens(text) + [""]
+    names, kids, i = [], {}, 0  # the open nodes' names; kids[depth]: children before a ","
     while True:
         name = tokens[i]
         if name in "(),":  # also true for "", the end of the text
-            cur.index = i
-            cur.fail("expected a rule name")
+            _name_tree_error(text, i, "expected a rule name")
         if tokens[i + 1] == "(" and tokens[i + 2] != ")":
-            stack.append((name, []))
+            names.append(name)
             i += 2
             continue
         i += 3 if tokens[i + 1] == "(" else 1
         node = tuple.__new__(Tree, (name, ()))
-        while stack:  # `node` is complete: file it under the open node
-            stack[-1][1].append(node)
+        while names:  # `node` is complete: file it under the open node, or close that node
             if tokens[i] == ",":
+                kids.setdefault(len(names), []).append(node)
                 i += 1
                 break
             if tokens[i] != ")":
-                cur.index = i
-                cur.fail("expected ',' or ')'")
-            name, children = stack.pop()
-            node, i = tuple.__new__(Tree, (name, tuple(children))), i + 1
+                _name_tree_error(text, i, "expected ',' or ')'")
+            children = kids.pop(len(names), None) if kids else None
+            children = (node,) if children is None else (*children, node)
+            node, i = tuple.__new__(Tree, (names.pop(), children)), i + 1
         else:
-            cur.index = i
-            cur.end()
+            if tokens[i]:
+                _name_tree_error(text, i, "unexpected trailing input")
             return node
 
 

@@ -19,6 +19,10 @@ reuse subtrees as one object, with faults planted at one occurrence or at
 every occurrence of a node, must get the same values and the same
 Rejected from the folds and checks, which handle each distinct node with
 two or more children once, as from the walks that visit every occurrence.
+Last of all, the name-tree reader splits its tokens off by str methods: on
+texts spaced with every kind of whitespace, its tokens must be the token
+regex's and its tree or ParseError both earlier readers', and it must build
+a TokenCursor only to report an error.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import generators
 from ruletrees import engine
 from ruletrees import natded as nd
 from ruletrees import recfun as rf
+from ruletrees import trees
 from ruletrees.errors import ArityMismatch, IllFormed, ParseError, Rejected
 from ruletrees.trees import (
     _NAME_TOKEN_RE,
@@ -1046,22 +1051,34 @@ def inferred_run_tree(rng: random.Random) -> Tree:
 
 def plant_fault(rng: random.Random, full: Tree) -> Tree:
     """`full` with one node given a wrong element, the unknown name q, a name
-    of the wrong arity, or the name s over a child past 30, where s is
-    undefined.  The node is drawn from all nodes, so most lie down a run."""
+    of the wrong arity, the name s over a child past 30, where s is
+    undefined, or the element None (and the name s over a child past 30).
+    The node is drawn from all nodes, so most lie down a run; 1 time in 4
+    it is the last node of a run above a node with two or more children."""
+
+    def over_30(node):  # a planted None counts as 0
+        return len(node.children) == 1 and (node.children[0].label[0] or 0) >= 30
+
     nodes = list(full.nodes())
-    past_30 = [(p, n) for p, n in nodes if len(n.children) == 1 and n.children[0].label[0] >= 30]
-    kind = rng.choice(("element", "unknown", "arity", "undefined"))
-    path, node = rng.choice(past_30 if kind == "undefined" and past_30 else nodes)
+    past_30 = [(p, n) for p, n in nodes if over_30(n)]
+    run_ends = [(p, n) for p, n in nodes if len(n.children) == 1 and len(n.children[0].children) > 1]
+    kind = rng.choice(("element", "unknown", "arity", "undefined", "none"))
+    if past_30 and (kind == "undefined" or kind == "none" and rng.random() < 0.5):
+        path, node = rng.choice(past_30)
+    else:
+        path, node = rng.choice(run_ends if run_ends and rng.random() < 0.25 else nodes)
     element, name = node.label
     if kind == "element":
-        label = (element + rng.choice((-1, 1, 40)), name)
+        label = ((element or 0) + rng.choice((-1, 1, 40)), name)
     elif kind == "unknown":
         label = (element, "q")
     elif kind == "arity":
         wrong = [n for k, names in _RUN_NAMES.items() if k != len(node.children) for n in names]
         label = (element, rng.choice(wrong))
-    else:
+    elif kind == "undefined":
         label = (element, "s")
+    else:
+        label = (None, "s" if over_30(node) else name)
     return relabel_at(full, path, label)
 
 
@@ -1177,3 +1194,66 @@ def test_shared_subtrees_fold_and_check_like_the_recursive_walks(seed):
         assert outcome(engine.check_elem_tree, RUN_SYSTEM, elems) == outcome(
             ref_check_elem_tree, RUN_SYSTEM, elems
         )
+
+
+# ------------------------------------------------------------ str-method tokens
+
+# whitespace to str.split and to the regex `\s` alike, the rarer kinds included
+_SPACES = " \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000"
+
+
+def spaced(rng: random.Random, text: str) -> str:
+    """`text` with runs of any kind of whitespace before and after its
+    punctuation and at its ends."""
+
+    def gap(_):
+        return "".join(rng.choices(_SPACES, k=rng.choice((0, 0, 1, 3))))
+
+    return re.sub(r"(?=[(),])|(?<=[(),])|^|$", gap, text)
+
+
+@given(_seeds)
+def test_str_method_tokens_match_the_token_regex(seed):
+    """The reader splits its tokens off by str methods.  On name-tree texts
+    spaced with every kind of whitespace, whose names may hold `\u200b` or
+    `\x00` (not whitespace), as written, with one more whitespace character
+    anywhere (it may split a name) and broken, the tokens are the token
+    regex's, and the tree or ParseError is both earlier readers'."""
+    rng = random.Random(seed)
+    tree = random_name_tree(rng).map_labels(
+        lambda name: rng.choice((name, name, f"{name}\u200b", f"\x00{name}"))
+    )
+    text = spaced(rng, print_name_tree(tree))
+    assert parse_name_tree(text) == tree
+    at = rng.randrange(len(text) + 1)
+    split = text[:at] + rng.choice(_SPACES) + text[at:]
+    for edited in (text, split, broken(rng, text), spaced(rng, broken(rng, text))):
+        assert trees._name_tokens(edited) == _NAME_TOKEN_RE.findall(edited)
+        got = outcome(parse_name_tree, edited)
+        assert got == outcome(rec_parse_name_tree, edited) == outcome(ref_parse_name_tree, edited), edited
+
+
+def test_regex_whitespace_is_str_whitespace():
+    """The premise of the str-method tokens, checked on the running Python:
+    `\\s`, str.isspace and str.split agree on every code point."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+    assert "".join(every.split()) == "".join(c for c in every if not c.isspace())
+
+
+def test_a_name_tree_builds_a_token_cursor_only_to_report_an_error(monkeypatch):
+    built = []
+    monkeypatch.setattr(trees, "TokenCursor", lambda *args: built.append(args) or TokenCursor(*args))
+    assert print_name_tree(parse_name_tree(" f2( f2(f1()) ,g(a,b)) ")) == "f2(f2(f1), g(a, b))"
+    assert built == []
+    for text, message, position in (
+        ("f2(f1", "expected ',' or ')'", 5),
+        ("f2(f1))", "unexpected trailing input", 6),
+        ("f2(,)", "expected a rule name", 3),
+        ("f2(f1 f1)", "expected ',' or ')'", 6),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_name_tree(text)
+        expected = ([(text, _NAME_TOKEN_RE)], message, position)
+        assert (built, info.value.message, info.value.position) == expected
+        built.clear()

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import sys
@@ -406,17 +407,26 @@ def test_the_family_b_of_u_x_and_v_x_goes_through_every_walk_in_linear_time():
 
 def test_a_rule_returning_none_at_a_node_labeled_none_is_undefined():
     """The check loop accepts a node only when its rule returns something
-    other than None, so the element None is no escape."""
+    other than None, so the element None is no escape: not below the root,
+    not halfway down a run, and not at a run's last node above a node with
+    two children."""
     system = RuleSystem(
         (
             Rule("z", 0, lambda: 5),
             Rule("h", 1, lambda n: n // 2 if n % 2 == 0 else None),
             Rule("g", 1, lambda n: 1),
+            Rule("p", 2, lambda a, b: a + b + 1),
         )
     )
-    with pytest.raises(RuleUndefined) as info:
-        check_full_tree(system, Tree((1, "g"), (Tree((None, "h"), (Tree((5, "z")),)),)))
-    assert (info.value.path, info.value.reason) == ((0,), "rule h is undefined at (5)")
+    z = Tree((5, "z"))
+    for tree, path, at in (
+        (Tree((1, "g"), (Tree((None, "h"), (z,)),)), (0,), 5),
+        (Tree((1, "g"), (Tree((1, "g"), (Tree((None, "h"), (z,)),)),)), (0, 0), 5),
+        (Tree((1, "g"), (Tree((None, "h"), (Tree((11, "p"), (z, z)),)),)), (0,), 11),
+    ):
+        with pytest.raises(RuleUndefined) as info:
+            check_full_tree(system, tree)
+        assert (info.value.path, info.value.reason) == (path, f"rule h is undefined at ({at})")
 
 
 def test_infer_is_undefined_halfway_up_a_run():
@@ -435,27 +445,38 @@ def test_infer_is_undefined_halfway_up_a_run():
         assert (info.value.path, info.value.reason) == (path, "rule h is undefined at (1)")
 
 
-def test_check_and_infer_call_each_rule_once_per_node():
-    calls = []
+def counted_system(system: RuleSystem, calls: collections.Counter) -> RuleSystem:
+    """`system` with each rule's callback counting its calls in `calls` by rule name."""
 
     def counted(name, fn):
-        return Rule(name, fn.__code__.co_argcount, lambda *args: calls.append(name) or fn(*args))
+        return lambda *args: calls.update((name,)) or fn(*args)
 
-    system = RuleSystem(
+    return RuleSystem(tuple(Rule(r.name, r.arity, counted(r.name, r.fn)) for r in system.rules))
+
+
+def test_check_and_infer_call_each_rule_once_per_node():
+    """Both loops apply each rule once per node, down a 2 000-level run too."""
+    mixed = RuleSystem(
         (
-            counted("z", lambda: 1),
-            counted("s", lambda a: a + 1),
-            counted("p", lambda a, b: a + b),
-            counted("t", lambda a, b, c: a * b + c),
+            Rule("z", 0, lambda: 1),
+            Rule("s", 1, lambda a: a + 1),
+            Rule("p", 2, lambda a, b: a + b),
+            Rule("t", 3, lambda a, b, c: a * b + c),
         )
     )
-    names = parse_name_tree("t(s(s(p(z, s(z)))), p(z, z), s(t(z, s(z), z)))")
-    full = infer_full_tree(system, names)
-    expected = sorted(node.label for _, node in names.nodes())
-    assert sorted(calls) == expected
-    calls.clear()
-    check_full_tree(system, full)
-    assert sorted(calls) == expected
+    for system, text in (
+        (mixed, "t(s(s(p(z, s(z)))), p(z, z), s(t(z, s(z), z)))"),
+        (EVEN, "f2(" * 2_000 + "f1" + ")" * 2_000),
+    ):
+        calls = collections.Counter()
+        counted = counted_system(system, calls)
+        names = parse_name_tree(text)
+        full = infer_full_tree(counted, names)
+        expected = collections.Counter(node.label for _, node in names.nodes())
+        assert calls == expected
+        calls.clear()
+        check_full_tree(counted, full)
+        assert calls == expected
 
 
 def test_elements_that_render_alike_keep_discovery_order():
