@@ -19,6 +19,11 @@ only in their binders and leaves.  One walk checks both: contexts flow
 from the root toward the leaves (each binder extends the context with
 its annotation, and a named binder also makes its name visible), then
 conclusions flow back from the leaves to the root.
+
+Propositions are read by one loop, by precedence climbing, so their
+parentheses nest without limit.  A sequent-derivation file reads each
+distinct line and proposition once, and builds each distinct proposition
+once, so that equal propositions in a file are one object.
 """
 
 from __future__ import annotations
@@ -146,12 +151,14 @@ def split_label(label) -> tuple[Sequent, str | None]:
 
 
 def _rule_matches(name: str, seq: Sequent, premises: tuple[Sequent, ...]) -> str | None:
-    """None when the rule justifies the node, otherwise a reason."""
+    """None when the rule justifies the node, otherwise a reason, as a
+    `str.format` template of `name` and `concl` (the conclusion's
+    rendering): a verdict renders nothing."""
     if name == AXIOM:
         if premises:
             return "axiom takes no premises"
         if seq.concl not in seq.ctx:
-            return f"conclusion {print_prop(seq.concl)} is not in the context"
+            return "conclusion {concl} is not in the context"
         return None
     if name == AND_INTRO:
         if len(premises) != 2:
@@ -166,7 +173,7 @@ def _rule_matches(name: str, seq: Sequent, premises: tuple[Sequent, ...]) -> str
         return None
     if name == AND_ELIM1 or name == AND_ELIM2:
         if len(premises) != 1:
-            return f"{name} takes one premise"
+            return "{name} takes one premise"
         (premise,) = premises
         if premise.ctx != seq.ctx:
             return "premise context differs from the conclusion's"
@@ -187,7 +194,7 @@ def _rule_matches(name: str, seq: Sequent, premises: tuple[Sequent, ...]) -> str
         if premise.concl != seq.concl.right:
             return "premise does not conclude the consequent"
         return None
-    return f"unknown rule {name}"
+    return "unknown rule {name}"
 
 
 def check_sequent_deriv(tree: Tree) -> None:
@@ -204,7 +211,7 @@ def check_sequent_deriv(tree: Tree) -> None:
         if name is not None:
             reason = _rule_matches(name, seq, premises)
             if reason is not None:
-                raise Rejected((), reason)
+                raise Rejected((), reason.format(name=name, concl=print_prop(seq.concl)))
         elif all(_rule_matches(r, seq, premises) is not None for r in ND_RULES):
             raise Rejected((), f"no rule justifies {print_sequent(seq)}")
 
@@ -425,32 +432,68 @@ _TOKEN_RE = re.compile(
 _RESERVED = {"fun", "hyp", "axiom", "fst", "snd"}
 
 
+# how tightly each operator binds, and the node it builds; "(" binds 0
+_BINDS = {"/\\": (2, And), "=>": (1, Imp)}
+
+
+def _read_prop(tokens: list[str], i: int, nodes: dict | None) -> tuple[Prop, int]:
+    """Read a proposition from `tokens[i:]` by precedence climbing, in one
+    loop; return it and the index of the token after it.
+
+    `pending` holds, above a bottom entry that nothing closes, the open
+    parentheses and the operators still waiting for their right operand,
+    each as (binding, class, left operand).  An
+    operator first closes the pending ones that bind tighter, so `/\\`
+    binds tighter than `=>` and both associate to the right.  Given a
+    `nodes` dict, each node is built once per dict, which keeps it under
+    its class and the `id`s of its parts (an atom under its name): equal
+    propositions read through one dict are one object.  Atom, And and Imp
+    have no validating `__new__`, so `tuple.__new__` builds them as their
+    classes would.  A ParseError raised here has the index of the failing
+    token as its position.
+    """
+    pending = [(-1, None, None)]
+    while True:
+        while tokens[i] == "(":
+            pending.append((0, None, None))
+            i += 1
+        token = tokens[i]
+        if not token.isidentifier() or token in _RESERVED:
+            raise ParseError(f"{token} is reserved" if token in _RESERVED else "expected a proposition", i)
+        if nodes is None:
+            prop = tuple.__new__(Atom, (token,))
+        else:
+            prop = nodes.get(token) or nodes.setdefault(token, tuple.__new__(Atom, (token,)))
+        i += 1
+        while True:  # `prop` is a whole operand: close what binds tighter than the next token
+            binds, op = _BINDS.get(tokens[i], (0, None))
+            while pending[-1][0] > binds:
+                _, cls, left = pending.pop()
+                if nodes is None:
+                    prop = tuple.__new__(cls, (left, prop))
+                else:
+                    key = (cls, id(left), id(prop))
+                    prop = nodes.get(key) or nodes.setdefault(key, tuple.__new__(cls, (left, prop)))
+            if op is not None:
+                pending.append((binds, op, prop))
+                i += 1
+                break
+            if len(pending) == 1:
+                return prop, i
+            if tokens[i] != ")":
+                raise ParseError("expected ')'", i)
+            pending.pop()
+            i += 1
+
+
 def _parse_prop(cur: TokenCursor) -> Prop:
-    left = _parse_conj(cur)
-    if cur.take("=>"):
-        return Imp(left, _parse_prop(cur))
-    return left
-
-
-def _parse_conj(cur: TokenCursor) -> Prop:
-    left = _parse_prop_atom(cur)
-    if cur.take("/\\"):
-        return And(left, _parse_conj(cur))
-    return left
-
-
-def _parse_prop_atom(cur: TokenCursor) -> Prop:
-    token = cur.peek()
-    if token.isidentifier():
-        if token in _RESERVED:
-            cur.fail(f"{token} is reserved")
-        cur.next()
-        return Atom(token)
-    if cur.take("("):
-        prop = _parse_prop(cur)
-        cur.expect(")", "')'")
+    """`_read_prop` at the cursor; a failure is reported at its token."""
+    try:
+        prop, cur.index = _read_prop(cur.tokens, cur.index, None)
         return prop
-    cur.fail("expected a proposition")
+    except ParseError as err:
+        cur.index, message = err.position, err.message
+    cur.fail(message)
 
 
 def parse_prop(text: str) -> Prop:
@@ -556,6 +599,39 @@ def parse_sequent(text: str) -> Sequent:
     return Sequent(frozenset(props), conclusion)
 
 
+def _read_sequent(content: str, props: dict, nodes: dict) -> Sequent:
+    """`parse_sequent(content)`, with each distinct stripped proposition
+    text read once into `props` and each distinct node built once into
+    `nodes`.  No proposition holds `,` or `|-`, so str methods split the
+    line, and they split an ASCII proposition's tokens too; a line that
+    does not read so goes through `parse_sequent`, which reports its
+    error."""
+    parts = content.split("|-")
+    if len(parts) == 2:
+        texts = parts[0].split(",") if parts[0].strip() else []
+        texts.append(parts[1])
+        read = []
+        for text in texts:
+            text = text.strip()
+            prop = props.get(text)
+            if prop is None:
+                if not text.isascii():  # str.isidentifier takes more than the token regex
+                    break
+                tokens = text.replace("(", " ( ").replace(")", " ) ").replace("/\\", " /\\ ")
+                tokens = tokens.replace("=>", " => ").split() + [""]
+                try:
+                    prop, i = _read_prop(tokens, 0, nodes)
+                except ParseError:
+                    break
+                if tokens[i]:
+                    break
+                props[text] = prop
+            read.append(prop)
+        else:
+            return Sequent(frozenset(read[:-1]), read[-1])
+    return parse_sequent(content)
+
+
 _TAG_RE = re.compile(r"\[([^\[\]]+)\]\s*$")
 
 
@@ -565,8 +641,10 @@ def parse_sequent_deriv(text: str) -> Tree:
     One node per line, children indented two more spaces than their
     parent, an optional trailing `[rule]` tag, `#` comments allowed.
     The nesting depth is unbounded: the tree is built without recursion.
+    Each distinct line and proposition is read once per call, so equal
+    propositions in one file are one object.
     """
-    entries = []
+    entries, sequents, props, nodes = [], {}, {}, {}  # for this call only
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -580,10 +658,12 @@ def parse_sequent_deriv(text: str) -> Tree:
         if match:
             tag = match.group(1).strip()
             content = content[: match.start()].rstrip()
-        try:
-            seq = parse_sequent(content)
-        except ParseError as err:
-            raise ParseError(f"line {lineno}: {err.message}", lineno) from None
+        seq = sequents.get(content)
+        if seq is None:
+            try:
+                seq = sequents[content] = _read_sequent(content, props, nodes)
+            except ParseError as err:
+                raise ParseError(f"line {lineno}: {err.message}", lineno) from None
         entries.append((lineno, indent // 2, seq, tag))
     if not entries:
         raise ParseError("empty derivation", 0)

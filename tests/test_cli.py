@@ -134,6 +134,13 @@ def test_natded_check_sequent_file(capsys, tmp_path):
     assert (code, out) == (0, "|- P /\\ Q => Q /\\ P\n")
 
 
+def test_natded_check_reads_propositions_nested_past_the_recursion_limit(capsys):
+    prop = "(" * 2_000 + "P" + ")" * 2_000
+    assert sys.getrecursionlimit() < 2_000
+    code, out, err = invoke(capsys, "natded", "check", "--form", "scheme", f"fun [{prop}] hyp [{prop}]")
+    assert (code, out, err) == (0, "|- P => P\n", "")
+
+
 def test_natded_check_rejects(capsys):
     code, out, _ = invoke(capsys, "natded", "check", "--form", "scheme", "hyp [P]")
     assert code == 1

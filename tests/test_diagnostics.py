@@ -6,8 +6,11 @@ This file keeps the earlier tokenizer, parsers and walks, which carried a
 position on every token and a path into every node, and requires the same
 ParseError message and position, and the same Rejected class, reason and
 path, from both on random valid inputs and on broken ones.  It also keeps
-the earlier sequent-file reader, which recursed once per level, and
-requires the same tree or the same ParseError from the stack-based one.
+the earlier sequent-file reader, which recursed once per level and read
+each line on its own with the recursive proposition reader, and requires
+the same tree or the same ParseError from the stack-based one, which reads
+each distinct line and proposition once per file, also for lines broken
+after lines that share their propositions.
 Last, it keeps the name-tree reader, printers, shape queries and
 inference that recursed once per node, and requires the same output,
 ParseError or Rejected from the walks that loop down runs of one-child
@@ -338,15 +341,60 @@ def ref_infer_full_tree(system, name_tree):
     return go(name_tree, ())
 
 
+def ref_rule_matches(name, seq, premises):
+    """The earlier rule check, which built its reason in full every time."""
+    if name == nd.AXIOM:
+        if premises:
+            return "axiom takes no premises"
+        if seq.concl not in seq.ctx:
+            return f"conclusion {nd.print_prop(seq.concl)} is not in the context"
+        return None
+    if name == nd.AND_INTRO:
+        if len(premises) != 2:
+            return "and-intro takes two premises"
+        if not isinstance(seq.concl, nd.And):
+            return "conclusion is not a conjunction"
+        left, right = premises
+        if left.ctx != seq.ctx or right.ctx != seq.ctx:
+            return "premise contexts differ from the conclusion's"
+        if left.concl != seq.concl.left or right.concl != seq.concl.right:
+            return "premises do not conclude the two conjuncts in order"
+        return None
+    if name == nd.AND_ELIM1 or name == nd.AND_ELIM2:
+        if len(premises) != 1:
+            return f"{name} takes one premise"
+        (premise,) = premises
+        if premise.ctx != seq.ctx:
+            return "premise context differs from the conclusion's"
+        if not isinstance(premise.concl, nd.And):
+            return "premise does not conclude a conjunction"
+        kept = premise.concl.left if name == nd.AND_ELIM1 else premise.concl.right
+        if kept != seq.concl:
+            return "conclusion is not the selected conjunct"
+        return None
+    if name == nd.IMP_INTRO:
+        if len(premises) != 1:
+            return "imp-intro takes one premise"
+        if not isinstance(seq.concl, nd.Imp):
+            return "conclusion is not an implication"
+        (premise,) = premises
+        if premise.ctx != seq.ctx | {seq.concl.left}:
+            return "premise context must extend the conclusion's with the antecedent"
+        if premise.concl != seq.concl.right:
+            return "premise does not conclude the consequent"
+        return None
+    return f"unknown rule {name}"
+
+
 def ref_check_sequent_deriv(tree):
     for path, node in tree.nodes():
         seq, name = nd.split_label(node.label)
         premises = tuple(nd.split_label(c.label)[0] for c in node.children)
         if name is not None:
-            reason = nd._rule_matches(name, seq, premises)
+            reason = ref_rule_matches(name, seq, premises)
             if reason is not None:
                 raise Rejected(path, reason)
-        elif all(nd._rule_matches(r, seq, premises) is not None for r in nd.ND_RULES):
+        elif all(ref_rule_matches(r, seq, premises) is not None for r in nd.ND_RULES):
             raise Rejected(path, f"no rule justifies {nd.print_sequent(seq)}")
 
 
@@ -661,7 +709,7 @@ def test_sequent_derivation_rejections_match(seed):
         seq, name = label
         if rng.random() < 0.5:
             return (nd.Sequent(seq.ctx, generators.prop(rng)), name)
-        return (seq, rng.choice(nd.ND_RULES + (None, "cut")))
+        return (seq, rng.choice(nd.ND_RULES + (None, "cut", "{concl}")))
 
     broken_tree = corrupt_tree(rng, corrupt_tree(rng, tree, relabel), relabel)
     assert outcome(nd.check_sequent_deriv, broken_tree) == outcome(
@@ -769,7 +817,8 @@ def test_ungodel_matches_the_earlier_decoder_where_every_list_fits(seed):
 # -------------------------------------------------------------- sequent files
 
 def ref_parse_sequent_deriv(text):
-    """The earlier reader, which built the tree by recursing once per level."""
+    """The earlier reader, which built the tree by recursing once per level
+    and read each line on its own with the position-carrying reader."""
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -785,7 +834,7 @@ def ref_parse_sequent_deriv(text):
             tag = match.group(1).strip()
             content = content[: match.start()].rstrip()
         try:
-            seq = nd.parse_sequent(content)
+            seq = ref_parse_sequent(content)
         except ParseError as err:
             raise ParseError(f"line {lineno}: {err.message}", lineno) from None
         entries.append((lineno, indent // 2, seq, tag))
@@ -816,31 +865,76 @@ def ref_parse_sequent_deriv(text):
     return root
 
 
-_WELL_FORMED_LINES = st.sampled_from(
-    ("P |- P", "|- P => P  [imp-intro]", "P, Q |- P /\\ Q [and-intro] ", "Q |- Q  # [axiom]")
-)
-_NOISE_LINES = st.sampled_from(("", "  # note", "#", "P |-", "|- (P", "P |- P []", "P |- P [x] [y]"))
+# whitespace that does not end a line, which `spaced_sequent` may put in
+_LINE_SPACES = " \t\xa0\u3000"
+_NOISE_LINES = ("", "  # note", "#", "P |-", "|- (P", "P |- P []", "P |- P [x] [y]")
+
+
+def spaced_sequent(rng: random.Random, text: str) -> str:
+    """`text` with runs of whitespace that does not end a line before and
+    after its `,`, `|-` and parentheses, and none at its ends."""
+
+    def gap(_):
+        return "".join(rng.choices(_LINE_SPACES, k=rng.choice((0, 0, 1, 2))))
+
+    return re.sub(r"(?=[(),]|\|-)|(?<=[(),])|(?<=\|-)", gap, text).strip()
+
+
+def sequent_lines(rng: random.Random) -> list[str]:
+    """A few sequents over a few propositions from `generators.prop`, so that
+    propositions repeat within and across lines, spaced, some tagged."""
+    pool = [nd.print_prop(generators.prop(rng)) for _ in range(rng.randint(1, 4))]
+    lines = []
+    for _ in range(rng.randint(1, 6)):
+        ctx = ", ".join(rng.choices(pool, k=rng.randint(0, 3)))
+        tag = rng.choice(("", "  [axiom]", " [and-intro]", "  # note"))
+        lines.append(spaced_sequent(rng, f"{ctx} |- {rng.choice(pool)}") + tag)
+    return lines
 
 
 @st.composite
 def sequent_files(draw):
-    """Files of 0-7 lines.  Most lines parse and sit below the root, at most
-    one level below the line before, so that files get past the per-line
+    """Files of 0-9 lines, over the lines of `sequent_lines`, and any of
+    them again.  Most lines parse and sit below the root, at most one
+    level below the line before, so that files get past the per-line
     checks to the structural ones; the rest have any indent of 0-12 spaces
-    and may be blank, a comment, or fail to parse."""
+    and may be blank, a comment, fail to parse, or one of those lines
+    broken, after lines that share its propositions."""
+    rng = random.Random(draw(_seeds))
+    well_formed = sequent_lines(rng)
     lines, level = [], -1
-    for _ in range(draw(st.integers(0, 7))):
-        if draw(st.integers(0, 4)):
-            level = draw(st.integers(min(level + 1, 1), level + 1))
-            lines.append("  " * level + draw(_WELL_FORMED_LINES))
+    for _ in range(rng.randint(0, 9)):
+        line = rng.choice(well_formed)
+        if rng.randrange(5):
+            level = rng.randint(min(level + 1, 1), level + 1)
+            lines.append("  " * level + line)
         else:
-            lines.append(" " * draw(st.integers(0, 12)) + draw(_NOISE_LINES | _WELL_FORMED_LINES))
+            noise = rng.choice(_NOISE_LINES + (line, broken(rng, line)))
+            lines.append(" " * rng.randint(0, 12) + noise)
     return "\n".join(lines)
 
 
 @given(sequent_files())
 def test_sequent_files_read_like_the_recursive_reader(text):
     assert outcome(nd.parse_sequent_deriv, text) == outcome(ref_parse_sequent_deriv, text)
+
+
+@given(_seeds)
+def test_sequent_lines_read_after_a_warm_memo_like_the_cursor_reader(seed):
+    """The reader reads each distinct line and proposition once per file
+    and sends a line that does not read cleanly to the cursor reader.  A
+    line broken after well-formed lines that share its propositions gives
+    the same tree, or the same ParseError message and position, as reading
+    each line on its own.  Lines broken twice may fail at two places, where
+    only the cursor reader knows which one to report."""
+    rng = random.Random(seed)
+    lines = sequent_lines(rng)
+    text = "\n".join([lines[0]] + ["  " + line for line in lines[1:]])
+    for line in rng.choices(lines, k=2):
+        edited = f"{text}\n  {broken(rng, line)}"
+        assert outcome(nd.parse_sequent_deriv, edited) == outcome(ref_parse_sequent_deriv, edited), edited
+        edited = f"{text}\n  {broken(rng, broken(rng, line))}"
+        assert outcome(nd.parse_sequent_deriv, edited) == outcome(ref_parse_sequent_deriv, edited), edited
 
 
 def test_a_3000_level_sequent_file_parses_and_checks():

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -64,6 +65,15 @@ def test_parse_prop_errors():
     with pytest.raises(ParseError) as info:
         nd.parse_prop("P ? Q")
     assert info.value.position == 2
+
+
+def test_parentheses_nest_without_limit():
+    assert sys.getrecursionlimit() < 5_000
+    assert nd.parse_prop("(" * 5_000 + "P" + ")" * 5_000) == P
+    text = "(" * 5_000 + "P /\\ Q" + ")" * 4_999
+    with pytest.raises(ParseError) as info:
+        nd.parse_prop(text)
+    assert (info.value.message, info.value.position) == ("expected ')'", len(text))
 
 
 _props = st.recursive(
@@ -157,8 +167,15 @@ def test_check_sequent_deriv_rejections():
         nd.check_sequent_deriv(grown)
     assert info.value.path == ()
 
-    # the remaining reasons of and-intro and imp-intro, each at the root
+    # the remaining reasons of and-intro and imp-intro, and those that name
+    # the conclusion or the rule, each at the root
     cases = [
+        (bad_axiom, "conclusion Q is not in the context"),
+        (
+            Tree((nd.Sequent(_CTX, Q), nd.AND_ELIM2), (_AXIOM, _AXIOM)),
+            "and-elim2 takes one premise",
+        ),
+        (Tree((nd.Sequent(_CTX, PQ), "{concl}")), "unknown rule {concl}"),
         (
             Tree((nd.Sequent(_CTX, P), nd.AND_INTRO), (_AXIOM, _AXIOM)),
             "conclusion is not a conjunction",
@@ -373,11 +390,64 @@ def test_parse_sequent_deriv_errors():
         nd.parse_sequent_deriv("|- P => P\n|- Q => Q")
 
 
+def _props_in(tree: Tree) -> list:
+    """Every proposition in the sequents of `tree`, their parts included."""
+    stack = [p for _, node in tree.nodes() for p in (*node.label[0].ctx, node.label[0].concl)]
+    found = []
+    while stack:
+        found.append(stack.pop())
+        if not isinstance(found[-1], nd.Atom):
+            stack += found[-1]
+    return found
+
+
+def test_equal_propositions_in_one_sequent_file_are_one_object():
+    text = "\n".join((
+        "|- P /\\ Q => Q /\\ P",
+        "  P/\\Q |- ( Q ) /\\ (P)",
+        "    P /\\ Q,(P/\\Q) |-Q",
+        "      P /\\ Q |- P /\\ Q",
+        "    P /\\ Q |- P",
+        "      P /\\ Q |- P /\\ Q",
+    ))
+    tree = nd.parse_sequent_deriv(text)
+    assert tree == SWAP_TREE.map_labels(lambda label: (label[0], None))
+    first = {}
+    for prop in _props_in(tree):
+        assert first.setdefault(prop, prop) is prop
+    assert set(first) == {P, Q, PQ, nd.And(Q, P), nd.Imp(PQ, nd.And(Q, P))}
+
+
+def test_sequent_files_share_no_proposition_across_calls():
+    first, second = nd.parse_sequent_deriv(DERIV_TEXT), nd.parse_sequent_deriv(DERIV_TEXT)
+    assert first == second == SWAP_TREE
+    assert not {id(p) for p in _props_in(first)} & {id(p) for p in _props_in(second)}
+
+
+def test_a_node_renders_a_proposition_only_for_a_reason(monkeypatch):
+    """A node that checks renders nothing, tagged or not; an untagged node
+    that fails renders its sequent once, for its reason."""
+    calls = []
+    print_prop = nd.print_prop
+    monkeypatch.setattr(nd, "print_prop", lambda *args: calls.append(args) or print_prop(*args))
+    untagged = SWAP_TREE.map_labels(lambda label: (label[0], None))
+    nd.check_sequent_deriv(untagged)
+    nd.check_sequent_deriv(SWAP_TREE)
+    assert calls == []
+    leaf = Tree((nd.Sequent(frozenset({P}), PQ), None))
+    with pytest.raises(Rejected) as info:
+        nd.check_sequent_deriv(leaf)
+    assert info.value.reason == "no rule justifies P |- P /\\ Q"
+    assert [args[0] for args in calls] == [PQ, P, Q, P]  # print_sequent: conclusion, then context
+
+
 @pytest.mark.parametrize(
     "text, line, message",
     [
         ("|- P => P\n  P |- P\n  P |- P ^ Q", 3, "unexpected character '^'"),
         ("|- P => P\n  P, P\n", 2, "a sequent needs exactly one |-"),
+        # the first stray character, though an earlier proposition fails too
+        ("|- P => P\n  P |- P\n  P Q, R ^ |- P", 3, "unexpected character '^'"),
     ],
 )
 def test_sequent_deriv_errors_name_their_line(text, line, message):
