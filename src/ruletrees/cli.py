@@ -19,13 +19,21 @@ Each outcome prints one message on one stream and exits with one code:
 `run` decides every outcome.  A handler returns its exit code and its
 stdout lines and prints nothing, so nothing reaches stdout before a
 command has its whole output.
+
+`COMMANDS` is the one table of commands.  `build_parser` builds argparse's
+parser from it.  `_read_argv` reads a plainly well-formed argv by it into
+the namespace argparse would return, without importing argparse; at
+anything irregular it returns None, and only then does `run` build the
+parser, so argparse writes every help, usage and error text.  Handlers
+import `engine` and the instance modules, so a command loads only those
+it runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
+from types import SimpleNamespace
 
 from .errors import (
     ArityMismatch,
@@ -37,11 +45,6 @@ from .errors import (
     format_path,
 )
 from .trees import LATEX_PREAMBLE, parse_name_tree, print_name_tree, tree_to_latex
-from . import engine
-from .engine import even_numbers, render_element, render_set
-
-# natded, recfun and automata are imported by the handlers that use them,
-# so that a process pays only for the instance its command runs.
 
 
 def read_arg(text: str) -> str:
@@ -54,6 +57,7 @@ def read_arg(text: str) -> str:
 def _nonneg(text: str) -> int:
     value = int(text)
     if value < 0:
+        import argparse
         raise argparse.ArgumentTypeError("must be nonnegative")
     return value
 
@@ -61,6 +65,7 @@ def _nonneg(text: str) -> int:
 def _positive(text: str) -> int:
     value = int(text)
     if value < 1:
+        import argparse
         raise argparse.ArgumentTypeError("must be positive")
     return value
 
@@ -68,6 +73,7 @@ def _positive(text: str) -> int:
 def _full_label_latex(label) -> tuple[str, str]:
     """LaTeX (conclusion, rule name) of an (element, rule name) label:
     a trailing number becomes a subscript, and eps becomes epsilon."""
+    from .engine import render_element
     element, name = label
     match = re.fullmatch(r"(.*?)(\d+)", name)
     base, sub = (match.group(1), match.group(2)) if match else (name, None)
@@ -89,6 +95,7 @@ def _load_nfa(path: str):
 
 def _load_system(selector: str):
     if selector == "even":
+        from .engine import even_numbers
         return even_numbers()
     from . import automata
     return automata.compile_nfa(_load_nfa(selector)).system
@@ -104,12 +111,14 @@ def _verdict(result: int | None, fuel: int) -> tuple[int, list[str]]:
 # ------------------------------------------------------------------- handlers
 
 def cmd_even_iterate(args) -> tuple[int, list[str]]:
-    elements, _ = engine.iterate(even_numbers(), args.steps)
-    return 0, [render_set(elements)]
+    from . import engine
+    elements, _ = engine.iterate(engine.even_numbers(), args.steps)
+    return 0, [engine.render_set(elements)]
 
 
 def cmd_even_member(args) -> tuple[int, list[str]]:
-    witness = engine.member(even_numbers(), args.n, args.depth)
+    from . import engine
+    witness = engine.member(engine.even_numbers(), args.n, args.depth)
     if witness is None:
         return 1, [f"not found within depth {args.depth}"]
     if args.latex:
@@ -118,12 +127,13 @@ def cmd_even_member(args) -> tuple[int, list[str]]:
 
 
 def cmd_infer(args) -> tuple[int, list[str]]:
+    from . import engine
     system = _load_system(args.system)
     tree = parse_name_tree(read_arg(args.tree))
     full = engine.infer_full_tree(system, tree)
     if args.latex:
         return 0, _latex([full])
-    return 0, [render_element(full.label[0])]
+    return 0, [engine.render_element(full.label[0])]
 
 
 def cmd_natded_check(args) -> tuple[int, list[str]]:
@@ -201,6 +211,7 @@ def cmd_nfa_derivations(args) -> tuple[int, list[str]]:
     nfa = _load_nfa(args.file)
     derivs = automata.derivations_of(nfa, args.state, automata.parse_word(args.word))
     if args.latex and derivs:
+        from . import engine
         system = automata.compile_nfa(nfa).system
         lines = _latex(engine.infer_full_tree(system, deriv) for deriv in derivs)
     else:
@@ -219,98 +230,134 @@ def cmd_nfa_rules(args) -> tuple[int, list[str]]:
     return 0, lines
 
 
-# --------------------------------------------------------------------- parser
+# ---------------------------------------------------------------- the table
+
+NAT, POSITIVE, REQUIRED = {"type": _nonneg}, {"type": _positive}, {"required": True}
+FLAG, FUEL, FILE = {"action": "store_true"}, {**POSITIVE, "default": 10000}, {"metavar": "FILE"}
+
+GROUP_HELP = {
+    "even": "the two-rule system for the even naturals",
+    "natded": "natural deduction for /\\ and =>",
+    "recfun": "recursive functions over the naturals",
+    "nfa": "finite automata as rule systems",
+}
+
+# command words -> (help, handler, {argument or --option: `add_argument` keywords}),
+# in the order of the help and of argparse's list of missing arguments
+COMMANDS = {
+    ("even", "iterate"): ("print the i-th closure layer", cmd_even_iterate,
+                          {"--steps": {**NAT, **REQUIRED}}),
+    ("even", "member"): ("search for a derivation of N", cmd_even_member,
+                         {"n": NAT, "--depth": {**POSITIVE, **REQUIRED}, "--latex": FLAG}),
+    ("infer",): ("run a name-labeled tree to its conclusion", cmd_infer, {
+        "--system": {**REQUIRED, "metavar": "even|FILE.nfa"}, "tree": {}, "--latex": FLAG}),
+    ("natded", "check"): ("check a proof and print its sequent", cmd_natded_check, {
+        "--form": {**REQUIRED, "choices": ("scheme", "var", "sequent")},
+        "term": {"metavar": "TERM_OR_FILE"}, "--latex": FLAG}),
+    ("natded", "convert"): ("convert between proof-term forms", cmd_natded_convert, {
+        "--to": {**REQUIRED, "choices": ("var", "scheme")}, "term": {"metavar": "TERM"}}),
+    ("recfun", "eval"): ("run a program under a fuel budget", cmd_recfun_eval, {
+        "program": {"metavar": "PROG"}, "args": {**NAT, "metavar": "N", "nargs": "*"},
+        "--fuel": FUEL}),
+    ("recfun", "godel"): ("print the code of a program", cmd_recfun_godel,
+                          {"program": {"metavar": "PROG"}}),
+    ("recfun", "ungodel"): ("decode a program from its code", cmd_recfun_ungodel,
+                            {"code": {**NAT, "metavar": "CODE"}}),
+    ("recfun", "diagonal"): ("build the program that diagonalizes a binary oracle",
+                             cmd_recfun_diagonal, {"program": {"metavar": "HPROG"},
+                                                   "--self-apply": FLAG, "--fuel": FUEL}),
+    ("nfa", "run"): ("does the automaton accept the word?", cmd_nfa_run,
+                     {"file": FILE, "--state": REQUIRED, "--word": REQUIRED}),
+    ("nfa", "derivations"): ("all derivations of a state spelling a word", cmd_nfa_derivations, {
+        "file": FILE, "--state": REQUIRED, "--word": REQUIRED, "--latex": FLAG}),
+    ("nfa", "rules"): ("print the compiled rules and the erasure table", cmd_nfa_rules,
+                       {"file": FILE}),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
-        prog="ruletrees",
-        description="rule systems, derivation trees, and three worked instances",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    even = sub.add_parser("even", help="the two-rule system for the even naturals")
-    even_sub = even.add_subparsers(dest="subcommand", required=True)
-    even_iterate = even_sub.add_parser("iterate", help="print the i-th closure layer")
-    even_iterate.add_argument("--steps", type=_nonneg, required=True)
-    even_iterate.set_defaults(func=cmd_even_iterate)
-    even_member = even_sub.add_parser("member", help="search for a derivation of N")
-    even_member.add_argument("n", type=_nonneg)
-    even_member.add_argument("--depth", type=_positive, required=True)
-    even_member.add_argument("--latex", action="store_true")
-    even_member.set_defaults(func=cmd_even_member)
-
-    infer = sub.add_parser("infer", help="run a name-labeled tree to its conclusion")
-    infer.add_argument("--system", required=True, metavar="even|FILE.nfa")
-    infer.add_argument("tree")
-    infer.add_argument("--latex", action="store_true")
-    infer.set_defaults(func=cmd_infer)
-
-    nd = sub.add_parser("natded", help="natural deduction for /\\ and =>")
-    nd_sub = nd.add_subparsers(dest="subcommand", required=True)
-    nd_check = nd_sub.add_parser("check", help="check a proof and print its sequent")
-    nd_check.add_argument("--form", choices=("scheme", "var", "sequent"), required=True)
-    nd_check.add_argument("term", metavar="TERM_OR_FILE")
-    nd_check.add_argument("--latex", action="store_true")
-    nd_check.set_defaults(func=cmd_natded_check)
-    nd_convert = nd_sub.add_parser("convert", help="convert between proof-term forms")
-    nd_convert.add_argument("--to", choices=("var", "scheme"), required=True)
-    nd_convert.add_argument("term", metavar="TERM")
-    nd_convert.set_defaults(func=cmd_natded_convert)
-
-    rf = sub.add_parser("recfun", help="recursive functions over the naturals")
-    rf_sub = rf.add_subparsers(dest="subcommand", required=True)
-    rf_eval = rf_sub.add_parser("eval", help="run a program under a fuel budget")
-    rf_eval.add_argument("program", metavar="PROG")
-    rf_eval.add_argument("args", metavar="N", type=_nonneg, nargs="*")
-    rf_eval.add_argument("--fuel", type=_positive, default=10000)
-    rf_eval.set_defaults(func=cmd_recfun_eval)
-    rf_godel = rf_sub.add_parser("godel", help="print the code of a program")
-    rf_godel.add_argument("program", metavar="PROG")
-    rf_godel.set_defaults(func=cmd_recfun_godel)
-    rf_ungodel = rf_sub.add_parser("ungodel", help="decode a program from its code")
-    rf_ungodel.add_argument("code", metavar="CODE", type=_nonneg)
-    rf_ungodel.set_defaults(func=cmd_recfun_ungodel)
-    rf_diag = rf_sub.add_parser(
-        "diagonal", help="build the program that diagonalizes a binary oracle"
-    )
-    rf_diag.add_argument("program", metavar="HPROG")
-    rf_diag.add_argument("--self-apply", action="store_true")
-    rf_diag.add_argument("--fuel", type=_positive, default=10000)
-    rf_diag.set_defaults(func=cmd_recfun_diagonal)
-
-    nfa = sub.add_parser("nfa", help="finite automata as rule systems")
-    nfa_sub = nfa.add_subparsers(dest="subcommand", required=True)
-    nfa_run = nfa_sub.add_parser("run", help="does the automaton accept the word?")
-    nfa_run.add_argument("file", metavar="FILE")
-    nfa_run.add_argument("--state", required=True)
-    nfa_run.add_argument("--word", required=True)
-    nfa_run.set_defaults(func=cmd_nfa_run)
-    nfa_derivs = nfa_sub.add_parser(
-        "derivations", help="all derivations of a state spelling a word"
-    )
-    nfa_derivs.add_argument("file", metavar="FILE")
-    nfa_derivs.add_argument("--state", required=True)
-    nfa_derivs.add_argument("--word", required=True)
-    nfa_derivs.add_argument("--latex", action="store_true")
-    nfa_derivs.set_defaults(func=cmd_nfa_derivations)
-    nfa_rules = nfa_sub.add_parser(
-        "rules", help="print the compiled rules and the erasure table"
-    )
-    nfa_rules.add_argument("file", metavar="FILE")
-    nfa_rules.set_defaults(func=cmd_nfa_rules)
-
+        prog="ruletrees", description="rule systems, derivation trees, and three worked instances")
+    commands = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for words, (summary, handler, arguments) in COMMANDS.items():
+        if len(words) == 1:
+            leaf = commands.add_parser(words[0], help=summary)
+        else:
+            if words[0] not in groups:
+                group = commands.add_parser(words[0], help=GROUP_HELP[words[0]])
+                groups[words[0]] = group.add_subparsers(dest="subcommand", required=True)
+            leaf = groups[words[0]].add_parser(words[1], help=summary)
+        for name, keywords in arguments.items():
+            leaf.add_argument(name, **keywords)
+        leaf.set_defaults(func=handler)
     return parser
+
+
+def _typed(keywords: dict, text: str):
+    value = keywords.get("type", str)(text)
+    if value not in keywords.get("choices", (value,)):
+        raise ValueError(f"invalid choice: {value!r}")
+    return value
+
+
+def _read_argv(argv) -> SimpleNamespace | None:
+    """The namespace `build_parser().parse_args(argv)` returns, read by the
+    table, or None at anything irregular: help, `--`, `--opt=value`, an
+    abbreviated, repeated or missing option, any other token or option value
+    that starts with `-`, a value its type or choices reject, a wrong count
+    of positionals, or positionals split by an option."""
+    words = tuple(argv[:1]) if tuple(argv[:1]) in COMMANDS else tuple(argv[:2])
+    if words not in COMMANDS:
+        return None
+    _, handler, arguments = COMMANDS[words]
+    given, texts, split = {}, [], False
+    tokens = iter(argv[len(words):])
+    for token in tokens:
+        if not token.startswith("-"):
+            if split:  # argparse's answer here differs between versions
+                return None
+            texts.append(token)
+            continue
+        if token not in arguments or token in given:
+            return None
+        given[token] = "" if arguments[token] is FLAG else next(tokens, "-")
+        if given[token].startswith("-"):
+            return None
+        split = bool(texts)
+    values = dict(zip(("command", "subcommand"), words), func=handler)
+    try:
+        for name, keywords in arguments.items():
+            dest = name.lstrip("-").replace("-", "_")
+            if keywords.get("nargs") == "*":
+                values[dest], texts = [_typed(keywords, text) for text in texts], []
+            elif not name.startswith("-"):
+                if not texts:
+                    return None
+                values[dest] = _typed(keywords, texts.pop(0))
+            elif name in given:
+                values[dest] = keywords is FLAG or _typed(keywords, given[name])
+            elif keywords.get("required"):
+                return None
+            else:
+                values[dest] = False if keywords is FLAG else keywords.get("default")
+    except Exception:  # argparse reports whatever a type or choice rejects
+        return None
+    return None if texts else SimpleNamespace(**values)
 
 
 def run(argv=None) -> int:
     """Parse arguments, dispatch, print the outcome and return its exit code."""
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if isinstance(exc.code, int):
-            return exc.code
-        return 0 if exc.code is None else 2
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            if isinstance(exc.code, int):
+                return exc.code
+            return 0 if exc.code is None else 2
     try:
         code, lines = args.func(args)
     except ParseError as err:

@@ -1,3 +1,6 @@
+import contextlib
+import importlib
+import io
 import json
 import os
 import subprocess
@@ -7,8 +10,11 @@ from math import isqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ruletrees
+from ruletrees import cli
 from ruletrees import recfun as rf
 from ruletrees.cli import build_parser, run
 from ruletrees.errors import ResourceLimit
@@ -526,7 +532,7 @@ def test_resource_limit_goes_to_stderr_with_exit_1(capsys, monkeypatch):
     def iterate(*args, **kwargs):
         raise ResourceLimit("step produced more than 5 elements")
 
-    monkeypatch.setattr("ruletrees.cli.engine.iterate", iterate)
+    monkeypatch.setattr("ruletrees.engine.iterate", iterate)
     code, out, err = invoke(capsys, "even", "iterate", "--steps", "9")
     assert (code, out, err) == (1, "", "step produced more than 5 elements\n")
 
@@ -590,3 +596,292 @@ def test_member_output_reparses_and_infers(capsys):
     _, printed, _ = invoke(capsys, "even", "member", "8", "--depth", "5")
     code, out, _ = invoke(capsys, "infer", "--system", "even", printed.strip())
     assert (code, out) == (0, "8\n")
+
+
+# ---------------------------------------------------------------- lazy imports
+
+def test_the_package_exports_resolve_on_use():
+    for name in ruletrees.__all__:
+        assert getattr(ruletrees, name) is not None
+    names = {}
+    exec("from ruletrees import *", names)
+    assert set(ruletrees.__all__) <= set(names)
+    assert names["iterate"] is importlib.import_module("ruletrees.engine").iterate
+    assert ruletrees.engine is importlib.import_module("ruletrees.engine")
+    with pytest.raises(AttributeError):
+        ruletrees.no_such_name
+
+
+LAZY_PROBE = """\
+import contextlib, io, json, sys
+if sys.argv[1:] == ["bare"]:
+    import ruletrees
+    loaded = "ruletrees.engine" in sys.modules
+    print(json.dumps([loaded, ruletrees.engine.__name__, ruletrees.member.__module__]))
+else:
+    from ruletrees.cli import run
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run(sys.argv[1:])
+    print(json.dumps([code, [m for m in ("argparse", "ruletrees.engine") if m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["bare"], [False, "ruletrees.engine", "ruletrees.engine"]),
+        (["even", "member", "8", "--depth", "6"], [0, ["ruletrees.engine"]]),
+        (["natded", "check", "--form", "scheme", SWAP_TEXT], [0, []]),
+        (["recfun", "eval", "comp(succ; succ)", "3"], [0, []]),
+        (["recfun", "eval", "succ", "--fuel", "0"], [2, ["argparse"]]),
+    ],
+    ids=["bare-import", "even", "natded", "recfun", "usage-error"],
+)
+def test_a_fresh_process_imports_only_what_its_command_uses(argv, expected):
+    """A bare `import ruletrees` loads no engine, yet resolves it on use; a
+    well-formed command imports no argparse, and natded and recfun commands
+    no engine."""
+    result = subprocess.run(
+        [sys.executable, "-c", LAZY_PROBE, *argv], capture_output=True, text=True, env=child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == expected
+
+
+# ----------------------------------------------------------------- argv reader
+
+def _parsed(argv):
+    """vars() of argparse's namespace for `argv`, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _reader_agrees(argv):
+    """The reader's namespace, checked against argparse's where it read one."""
+    read = cli._read_argv(argv)
+    if read is not None:
+        assert vars(read) == _parsed(argv), argv
+    return read
+
+
+# the top level, each command and each subcommand
+LEVELS = [[], ["infer"], *([group] for group in cli.GROUP_HELP)]
+LEVELS += [list(words) for words in cli.COMMANDS if len(words) == 2]
+NUMBER_TEXTS = ["0", "7", "-1", "-0", "\u0663", " 5", "5 ", "1_0", "+4", "0x10", "1e3", "",
+                "x", "9" * 4301, "1" + "0" * 4299]
+TEXTS = ["succ", "f2(f1)", "P", "", "a b", "-x", "-5", "--", "-", "@missing", "x=y", "even",
+         "member", "--latex", "scheme", "var", "-h"]
+IRREGULAR = ["-h", "--help", "--", "-x", "--bogus", "-5", "-"]
+
+
+def _value(keywords, odd):
+    """A value the argument takes, or with `odd` one it may not take."""
+    if "choices" in keywords:
+        odd_choices = ["schem", "", "-var", keywords["choices"][0]]
+        return st.sampled_from(odd_choices if odd else keywords["choices"])
+    if "type" in keywords:
+        return st.sampled_from(NUMBER_TEXTS) if odd else st.integers(1, 10**30).map(str)
+    texts = st.text(max_size=6).filter(lambda text: not text.startswith("-"))
+    return st.sampled_from(TEXTS) if odd else texts
+
+
+def _mutated(data, argv, options):
+    """`argv` with one irregular edit: an inserted token, a dropped one, an
+    abbreviated option or an option joined to its value by `=`."""
+    at = data.draw(st.integers(0, len(argv)))
+    kind = data.draw(st.sampled_from(["insert", "drop", "abbreviate", "join"]))
+    if kind == "insert" or at == len(argv):
+        token = data.draw(st.sampled_from([*IRREGULAR, *options, *TEXTS, "7", "-1"]))
+        return argv[:at] + [token] + argv[at:]
+    if kind == "drop":
+        return argv[:at] + argv[at + 1:]
+    if kind == "abbreviate" and argv[at].startswith("--"):
+        return argv[:at] + [argv[at][:-1]] + argv[at + 1:]
+    return argv[:at] + ["=".join(argv[at:at + 2])] + argv[at + 2:]
+
+
+@given(st.data())
+def test_argv_reader_matches_argparse(data):
+    """Every leaf's argv with its options in any order: clean, or with one
+    odd value, positional count or missing option, with positionals among
+    the options, or with irregular edits.  Where the reader reads a
+    namespace it is argparse's, and it reads every clean argv."""
+    words = data.draw(st.sampled_from(list(cli.COMMANDS)))
+    arguments = cli.COMMANDS[words][2]
+    mode = data.draw(st.sampled_from(["clean", "value", "count", "missing", "order", "edits"]))
+    odd = data.draw(st.sampled_from(list(arguments)))
+    groups, positionals = [], []
+    for name, keywords in arguments.items():
+        value = _value(keywords, mode == "value" and name == odd)
+        if not name.startswith("-"):
+            if keywords.get("nargs") == "*":
+                count = data.draw(st.integers(0, 3))
+            else:
+                count = data.draw(st.sampled_from([0, 2])) if mode == "count" and name == odd else 1
+            positionals += [data.draw(value) for _ in range(count)]
+        elif mode == "missing" and name == odd:
+            continue
+        elif keywords.get("required") or data.draw(st.booleans()):
+            flag = keywords.get("action") == "store_true"
+            groups.append([name] if flag else [name, data.draw(value)])
+    groups = data.draw(st.permutations(groups))
+    place = st.integers(0, len(groups))
+    if mode == "order":  # each positional, in order, anywhere among the options
+        count = len(positionals)
+        places = sorted(data.draw(st.lists(place, min_size=count, max_size=count)))
+    else:
+        places = [data.draw(place)] * len(positionals)
+    argv = list(words)
+    for at, group in enumerate([*groups, []]):
+        argv += [text for text, where in zip(positionals, places) if where == at] + group
+    if mode == "edits":
+        for _ in range(data.draw(st.integers(1, 3))):
+            argv = _mutated(data, argv, [name for name in arguments if name.startswith("-")])
+    read = _reader_agrees(argv)
+    assert read is not None or mode != "clean", argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [level + ["-h"] for level in LEVELS]
+    + [level + ["--help"] for level in LEVELS]
+    + [level[:1] + ["-h"] + level[1:] for level in LEVELS if len(level) == 2]
+    + [
+        ["even", "member", "8", "--depth", "6", "--"],
+        ["even", "member", "--", "8", "--depth", "6"],
+        ["even", "member", "8", "--depth=6"],
+        ["even", "member", "8", "--dep", "6"],
+        ["even", "member", "8", "--depth", "6", "--depth", "7"],
+        ["even", "member", "8", "--depth", "6", "--latex", "--latex"],
+        ["even", "member", "8"],
+        ["even", "member", "8", "--depth", "6", "-x"],
+        ["even", "member", "-8", "--depth", "6"],
+        ["even", "member", "8", "--depth", "-6"],
+        ["infer", "--system", "-5", "f1"],
+        ["nfa", "run", "FILE", "--state", "s", "--word", "-x"],
+        ["even", "iterate", "--steps", "-1"],
+        ["recfun", "eval", "succ", "--fuel", "-5", "3"],
+        ["even", "member", "8", "--depth", "0"],
+        ["natded", "check", "--form", "schem", "P"],
+        ["natded", "convert", "--to", "scheme"],
+        ["even", "member", "8", "9", "--depth", "6"],
+        ["nfa", "run", "--state", "s", "--word", "a"],
+        ["recfun", "eval", "succ", "--fuel", "5", "3"],
+        ["recfun", "eval", "succ", "3", "--fuel", "5", "4"],
+        ["recfun", "ungodel", "9" * 4301],
+        ["even", "member", "x", "--depth", "6"],
+        ["even"],
+        [],
+        ["bogus"],
+        ["infer", "infer", "--system", "even", "f1"],
+    ],
+)
+def test_argv_reader_defers_irregular_argv(argv):
+    assert _reader_agrees(argv) is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["even", "member", "\u0663", "--depth", " 5"],
+        ["even", "iterate", "--steps", "1_0"],
+        ["recfun", "ungodel", "1" + "0" * 4299],
+        ["recfun", "eval", "--fuel", "5", "succ", "3"],
+        ["recfun", "eval", "succ", "--fuel", "5"],
+        ["recfun", "eval", "zero^3", "1", "2", "3"],
+        ["infer", "f1", "--system", "even", "--latex"],
+        ["nfa", "derivations", "--word", "", "--state", "s", "", "--latex"],
+        ["natded", "check", "--form", "var", "--latex", "@proof"],
+        ["recfun", "diagonal", "--fuel", "+7", "zero^2", "--self-apply"],
+    ],
+)
+def test_argv_reader_reads_what_argparse_reads(argv):
+    assert _reader_agrees(argv) is not None
+
+
+def _output_argvs(tmp_path, parity_file):
+    """Over 150 argv: help at every level, usage errors, @FILE arguments and
+    every row of the outcome table in cli.py's docstring."""
+    files = {
+        "TREE": "f2(f2(f1))\n",
+        "PROG": "comp(succ; succ)",
+        "DERIV": DERIV_TEXT,
+        "CLASH": EPS_LETTER_TEXT,
+        "PAREN": "state s0\nletter (\nletter a\ntrans s0 ( s0\ntrans s0 a s0\nfinal s0\n",
+    }
+    paths = {"PARITY": parity_file}
+    for name, text in files.items():
+        paths[name] = str(tmp_path / name)
+        Path(paths[name]).write_text(text)
+    paths["BYTES"] = str(tmp_path / "bytes")
+    Path(paths["BYTES"]).write_bytes(b"f2(\xff)")
+    over_list = rf._pair(3, rf._pair(rf._pair(0, 2**64), rf._pair(2**64, 0)))
+    deep_program = "mu(" * 12 + "zero^12" + ")" * 12
+    argvs = [level + [flag] for level in LEVELS for flag in ("-h", "--help", "--bogus")]
+    argvs += LEVELS + [["bogus"], ["even", "member", "8"], ["recfun", "eval", "succ", "-3"]]
+    argvs += HANDLER_ARGVS + [
+        ["nfa", "run", "PARITY", "--state", "odd", "--word", "aaa"],
+        ["nfa", "run", "PARITY", "--state", "odd", "--word", "aa"],
+        ["nfa", "derivations", "PARITY", "--state", "odd", "--word", "aa"],
+        ["even", "member", "9", "--depth", "4"],
+        ["recfun", "eval", "mu(proj^2_1)", "3", "--fuel", "50"],
+        ["infer", "--system", "even", "g(f1)"],
+        ["natded", "check", "--form", "scheme", "hyp [P]"],
+        ["natded", "convert", "--to", "var", "hyp [P]"],
+        ["recfun", "godel", "proj^1_2"],
+        ["recfun", "eval", "comp(succ; succ, succ)", "3"],
+        ["recfun", "ungodel", "21"],
+        ["recfun", "godel", deep_program],
+        ["recfun", "ungodel", str(10**4300 - 1)],
+        ["recfun", "ungodel", str(over_list)],
+        ["infer", "--system", "even", "f2(f2(f1)"],
+        ["recfun", "eval", "sux", "1"],
+        ["infer", "--system", "even", "@TREE"],
+        ["recfun", "eval", "@PROG", "4"],
+        ["natded", "check", "--form", "sequent", "@DERIV", "--latex"],
+        ["infer", "--system", "even", "@/no/such/tree"],
+        ["infer", "--system", "even", "@BYTES"],
+        ["nfa", "run", "/no/such/file.nfa", "--state", "s", "--word", ""],
+        ["nfa", "run", "PARITY", "--state", "limbo", "--word", "a"],
+        ["nfa", "run", "PARITY", "--state", "even", "--word", "b"],
+        ["nfa", "rules", "CLASH"],
+        ["infer", "--system", "PAREN", "eps1"],
+        ["recfun", "eval", "succ"],
+        ["recfun", "diagonal", "succ"],
+        ["recfun", "diagonal", "comp(succ; zero^2)", "--self-apply", "--fuel", "200"],
+    ]
+    argvs += [["even", "iterate", "--steps", str(steps)] for steps in range(12)]
+    argvs += [["even", "member", str(n), "--depth", str(n // 3 + 1)] for n in range(24)]
+    argvs += [["infer", "--system", "PARITY", "a1(a2(" * k + "a1(eps1)" + "))" * k]
+              for k in range(4)]
+    argvs += [["recfun", "eval", "--fuel", "9", "comp(succ; succ)", str(n)] for n in range(6)]
+    argvs += [["nfa", "derivations", "PARITY", "--word", "a" * k, "--state", "odd"]
+              for k in range(6)]
+    return [[paths.get(arg, arg) for arg in argv] for argv in argvs]
+
+
+def test_output_is_the_same_with_and_without_the_argv_reader(
+    capsys, monkeypatch, tmp_path, parity_file
+):
+    """Stdout, stderr and exit code of every argv are those of argparse's
+    path; the closure bound's row is reached by a patched `iterate`."""
+    def through_argparse(argv):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_read_argv", lambda argv: None)
+            return invoke(capsys, *argv)
+
+    argvs = _output_argvs(tmp_path, parity_file)
+    assert len(argvs) >= 150
+    for argv in argvs:
+        assert invoke(capsys, *argv) == through_argparse(argv), argv
+
+    def iterate(*args, **kwargs):
+        raise ResourceLimit("step produced more than 5 elements")
+
+    monkeypatch.setattr("ruletrees.engine.iterate", iterate)
+    argv = ["even", "iterate", "--steps", "9"]
+    expected = (1, "", "step produced more than 5 elements\n")
+    assert invoke(capsys, *argv) == through_argparse(argv) == expected
