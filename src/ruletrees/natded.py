@@ -21,16 +21,17 @@ its annotation, and a named binder also makes its name visible), then
 conclusions flow back from the leaves to the root.
 
 Propositions are read by one loop, by precedence climbing, so their
-parentheses nest without limit.  A sequent-derivation file reads each
-distinct line and proposition once, and builds each distinct proposition
-once, so that equal propositions in a file are one object.
+parentheses nest without limit.  Every reader builds each distinct
+proposition once per call, so equal propositions in one term, sequent or
+file are one object and compare at identity; a sequent-derivation file
+also reads each distinct line and proposition text once.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import ParseError, Rejected
 from .trees import TokenCursor, Tree, check_nodes, record
@@ -293,6 +294,41 @@ var_sequent_tree, check_var = scheme_sequent_tree, check_scheme
 
 # ------------------------------------------------------------------ conversions
 
+def _rebind(term: Term, names: Iterator[str] | None, binders: tuple[tuple[str, Prop], ...] = ()) -> Term:
+    """`term` rebuilt in the other term form, one frame per level: a
+    scheme term as a var term, naming each binder `next(names)`, or, with
+    `names` None, a var term as a scheme term.  `binders` holds the (name,
+    proposition) of each enclosing binder, outermost first; a leaf takes
+    the innermost that carries its proposition (`hyp`) or name (a variable).
+    A Rejected raised below gets the index of its subterm on its path."""
+    to_var = names is not None
+    if isinstance(term, Hyp if to_var else Var):
+        for name, prop in reversed(binders):
+            if (prop if to_var else name) == term[0]:  # the leaf's one field
+                return Var(name) if to_var else Hyp(prop)
+        if to_var:
+            raise NoMatchingBinder((), f"no enclosing binder proves {print_prop(term.prop)}")
+        raise UnboundVariable((), f"variable {term.name} is not bound")
+    if to_var and isinstance(term, HypFull):
+        raise NoMatchingBinder((), "an axiom with an explicit context names no binder")
+    at = 0  # as in _sequent_node
+    try:
+        if isinstance(term, Lam if to_var else LamV):
+            name = next(names) if to_var else term.name
+            body = _rebind(term.body, names, binders + ((name, term.prop),))
+            return LamV(name, term.prop, body) if to_var else Lam(term.prop, body)
+        if isinstance(term, Pair):
+            left = _rebind(term.left, names, binders)
+            at = 1
+            return Pair(left, _rebind(term.right, names, binders))
+        if isinstance(term, (Fst, Snd)):
+            return type(term)(_rebind(term.body, names, binders))
+    except Rejected as err:
+        err.path = (at, *err.path)
+        raise
+    raise TypeError(f"not a {'scheme' if to_var else 'variable'} term: {term!r}")
+
+
 def scheme_to_var(term: SchemeTerm) -> VarTerm:
     """Name the binders of a checking, `axiom`-free scheme term.
 
@@ -300,60 +336,12 @@ def scheme_to_var(term: SchemeTerm) -> VarTerm:
     the variable of the innermost enclosing binder annotated with its
     proposition.  Raises NoMatchingBinder when no such binder exists.
     """
-    counter = itertools.count(1)
-
-    def go(t: SchemeTerm, binders: tuple[tuple[str, Prop], ...]) -> VarTerm:
-        if isinstance(t, Hyp):
-            for name, prop in reversed(binders):
-                if prop == t.prop:
-                    return Var(name)
-            raise NoMatchingBinder((), f"no enclosing binder proves {print_prop(t.prop)}")
-        if isinstance(t, HypFull):
-            raise NoMatchingBinder((), "an axiom with an explicit context names no binder")
-        at = 0  # as in _sequent_node
-        try:
-            if isinstance(t, Lam):
-                name = f"x{next(counter)}"
-                return LamV(name, t.prop, go(t.body, binders + ((name, t.prop),)))
-            if isinstance(t, Pair):
-                left = go(t.left, binders)
-                at = 1
-                return Pair(left, go(t.right, binders))
-            if isinstance(t, (Fst, Snd)):
-                return type(t)(go(t.body, binders))
-        except Rejected as err:
-            err.path = (at, *err.path)
-            raise
-        raise TypeError(f"not a scheme term: {t!r}")
-
-    return go(term, ())
+    return _rebind(term, (f"x{i}" for i in itertools.count(1)))
 
 
 def var_to_scheme(term: VarTerm) -> SchemeTerm:
     """Forget binder names, keeping only the propositions they prove."""
-
-    def go(t: VarTerm, binders: tuple[tuple[str, Prop], ...]) -> SchemeTerm:
-        if isinstance(t, Var):
-            for name, prop in reversed(binders):
-                if name == t.name:
-                    return Hyp(prop)
-            raise UnboundVariable((), f"variable {t.name} is not bound")
-        at = 0  # as in _sequent_node
-        try:
-            if isinstance(t, LamV):
-                return Lam(t.prop, go(t.body, binders + ((t.name, t.prop),)))
-            if isinstance(t, Pair):
-                left = go(t.left, binders)
-                at = 1
-                return Pair(left, go(t.right, binders))
-            if isinstance(t, (Fst, Snd)):
-                return type(t)(go(t.body, binders))
-        except Rejected as err:
-            err.path = (at, *err.path)
-            raise
-        raise TypeError(f"not a variable term: {t!r}")
-
-    return go(term, ())
+    return _rebind(term, None)
 
 
 # -------------------------------------------------------------------- printing
@@ -436,19 +424,19 @@ _RESERVED = {"fun", "hyp", "axiom", "fst", "snd"}
 _BINDS = {"/\\": (2, And), "=>": (1, Imp)}
 
 
-def _read_prop(tokens: list[str], i: int, nodes: dict | None) -> tuple[Prop, int]:
+def _read_prop(tokens: list[str], i: int, nodes: dict) -> tuple[Prop, int]:
     """Read a proposition from `tokens[i:]` by precedence climbing, in one
     loop; return it and the index of the token after it.
 
     `pending` holds, above a bottom entry that nothing closes, the open
     parentheses and the operators still waiting for their right operand,
-    each as (binding, class, left operand).  An
-    operator first closes the pending ones that bind tighter, so `/\\`
-    binds tighter than `=>` and both associate to the right.  Given a
-    `nodes` dict, each node is built once per dict, which keeps it under
-    its class and the `id`s of its parts (an atom under its name): equal
-    propositions read through one dict are one object.  Atom, And and Imp
-    have no validating `__new__`, so `tuple.__new__` builds them as their
+    each as (binding, class, left operand).  An operator first closes the
+    pending ones that bind tighter, so `/\\` binds tighter than `=>` and
+    both associate to the right.  Each node is built once per `nodes`
+    dict, which keeps it under its class and the `id`s of its parts (an
+    atom under its name): every reader passes one dict per call, so equal
+    propositions read in one call are one object.  Atom, And and Imp have
+    no validating `__new__`, so `tuple.__new__` builds them as their
     classes would.  A ParseError raised here has the index of the failing
     token as its position.
     """
@@ -460,20 +448,14 @@ def _read_prop(tokens: list[str], i: int, nodes: dict | None) -> tuple[Prop, int
         token = tokens[i]
         if not token.isidentifier() or token in _RESERVED:
             raise ParseError(f"{token} is reserved" if token in _RESERVED else "expected a proposition", i)
-        if nodes is None:
-            prop = tuple.__new__(Atom, (token,))
-        else:
-            prop = nodes.get(token) or nodes.setdefault(token, tuple.__new__(Atom, (token,)))
+        prop = nodes.get(token) or nodes.setdefault(token, tuple.__new__(Atom, (token,)))
         i += 1
         while True:  # `prop` is a whole operand: close what binds tighter than the next token
             binds, op = _BINDS.get(tokens[i], (0, None))
             while pending[-1][0] > binds:
                 _, cls, left = pending.pop()
-                if nodes is None:
-                    prop = tuple.__new__(cls, (left, prop))
-                else:
-                    key = (cls, id(left), id(prop))
-                    prop = nodes.get(key) or nodes.setdefault(key, tuple.__new__(cls, (left, prop)))
+                key = (cls, id(left), id(prop))
+                prop = nodes.get(key) or nodes.setdefault(key, tuple.__new__(cls, (left, prop)))
             if op is not None:
                 pending.append((binds, op, prop))
                 i += 1
@@ -486,10 +468,10 @@ def _read_prop(tokens: list[str], i: int, nodes: dict | None) -> tuple[Prop, int
             i += 1
 
 
-def _parse_prop(cur: TokenCursor) -> Prop:
+def _parse_prop(cur: TokenCursor, nodes: dict) -> Prop:
     """`_read_prop` at the cursor; a failure is reported at its token."""
     try:
-        prop, cur.index = _read_prop(cur.tokens, cur.index, None)
+        prop, cur.index = _read_prop(cur.tokens, cur.index, nodes)
         return prop
     except ParseError as err:
         cur.index, message = err.position, err.message
@@ -498,20 +480,20 @@ def _parse_prop(cur: TokenCursor) -> Prop:
 
 def parse_prop(text: str) -> Prop:
     cur = TokenCursor(text, _TOKEN_RE)
-    prop = _parse_prop(cur)
+    prop = _parse_prop(cur, {})
     cur.end()
     return prop
 
 
-def _parse_term(cur: TokenCursor, form: str):
+def _parse_term(cur: TokenCursor, form: str, nodes: dict):
     token = cur.peek()
     if token == "fun":
         cur.next()
         if form == "scheme":
             cur.expect("[", "'['")
-            prop = _parse_prop(cur)
+            prop = _parse_prop(cur, nodes)
             cur.expect("]", "']'")
-            return Lam(prop, _parse_term(cur, form))
+            return Lam(prop, _parse_term(cur, form, nodes))
         name = cur.peek()
         if not name.isidentifier():
             cur.fail("expected a variable name")
@@ -519,15 +501,15 @@ def _parse_term(cur: TokenCursor, form: str):
             cur.fail(f"{name} is reserved")
         cur.next()
         cur.expect(":", "':'")
-        prop = _parse_prop(cur)
+        prop = _parse_prop(cur, nodes)
         cur.expect(".", "'.'")
-        return LamV(name, prop, _parse_term(cur, form))
+        return LamV(name, prop, _parse_term(cur, form, nodes))
     if token in ("hyp", "axiom") and form != "scheme":
         cur.fail(f"{token} occurs only in scheme terms")
     if token == "hyp":
         cur.next()
         cur.expect("[", "'['")
-        prop = _parse_prop(cur)
+        prop = _parse_prop(cur, nodes)
         cur.expect("]", "']'")
         return Hyp(prop)
     if token == "axiom":
@@ -535,27 +517,27 @@ def _parse_term(cur: TokenCursor, form: str):
         cur.expect("{", "'{'")
         ctx = []
         if cur.peek() != "|":
-            ctx.append(_parse_prop(cur))
+            ctx.append(_parse_prop(cur, nodes))
             while cur.take(","):
-                ctx.append(_parse_prop(cur))
+                ctx.append(_parse_prop(cur, nodes))
         cur.expect("|", "'|'")
-        prop = _parse_prop(cur)
+        prop = _parse_prop(cur, nodes)
         cur.expect("}", "'}'")
         return HypFull(frozenset(ctx), prop)
     if token in ("fst", "snd"):
         cur.next()
         cur.expect("(", "'('")
-        body = _parse_term(cur, form)
+        body = _parse_term(cur, form, nodes)
         cur.expect(")", "')'")
         return Fst(body) if token == "fst" else Snd(body)
     if cur.take("<"):
-        left = _parse_term(cur, form)
+        left = _parse_term(cur, form, nodes)
         cur.expect(",", "','")
-        right = _parse_term(cur, form)
+        right = _parse_term(cur, form, nodes)
         cur.expect(">", "'>'")
         return Pair(left, right)
     if cur.take("("):
-        term = _parse_term(cur, form)
+        term = _parse_term(cur, form, nodes)
         cur.expect(")", "')'")
         return term
     if token.isidentifier():
@@ -571,7 +553,7 @@ def parse_term(text: str, form: str):
     if form not in ("scheme", "var"):
         raise ValueError(f"unknown term form {form!r}")
     cur = TokenCursor(text, _TOKEN_RE)
-    term = _parse_term(cur, form)
+    term = _parse_term(cur, form, {})
     cur.end()
     return term
 
@@ -586,15 +568,14 @@ def parse_sequent(text: str) -> Sequent:
     turnstile and a conclusion."""
     if text.count("|-") != 1:
         raise ParseError("a sequent needs exactly one |-", 0)
-    cur = TokenCursor(text, _SEQUENT_TOKEN_RE)
-    props = []
+    cur, nodes, props = TokenCursor(text, _SEQUENT_TOKEN_RE), {}, []
     if cur.peek() != "|-":
-        props.append(_parse_prop(cur))
+        props.append(_parse_prop(cur, nodes))
         while cur.take(","):
-            props.append(_parse_prop(cur))
+            props.append(_parse_prop(cur, nodes))
     if not cur.take("|-"):
         cur.fail("unexpected trailing input")
-    conclusion = _parse_prop(cur)
+    conclusion = _parse_prop(cur, nodes)
     cur.end()
     return Sequent(frozenset(props), conclusion)
 

@@ -57,8 +57,8 @@ class Tree(record("label", "children", defaults=((),))):
     # Tree has no validating `__new__`: `tuple.__new__(Tree, (label, children))`
     # is the same value as `Tree(label, children)`, built without namedtuple's
     # Python-level `__new__`.  Only the hot builders use it: `parse_name_tree`
-    # (a one-child node as `(name, (node,))`), `engine.infer_full_tree` and the
-    # runs of `automata.derivations_of`.  The folds go through `fold`; the
+    # (every node), `engine.infer_full_tree` and the runs of
+    # `automata.derivations_of`.  The folds go through `fold`; the
     # printers and `engine.check_full_tree` keep a run loop of their own.
     __slots__ = ()
 

@@ -147,6 +147,25 @@ def test_natded_check_reads_propositions_nested_past_the_recursion_limit(capsys)
     assert (code, out, err) == (0, "|- P => P\n", "")
 
 
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (["check", "--form", "scheme", "fun [A] hyp [A]"], 0, "|- (A) => A"),
+        (["convert", "--to", "var", "fun [A] hyp [A]"], 0, "fun x1 : A . x1"),
+        (["check", "--form", "scheme", "axiom {A | A}"], 1, "rejected at root: axiom carries context {A} but sits under {}"),
+        (["check", "--form", "var", "fun x : A . x"], 0, "|- (A) => A"),
+        (["convert", "--to", "scheme", "fun x : A . x"], 0, "fun [A] hyp [A]"),
+    ],
+    ids=["check-scheme", "convert-var", "check-axiom", "check-var", "convert-scheme"],
+)
+def test_natded_reaches_a_verdict_on_deep_equal_annotations(capsys, argv, code, out):
+    """`A` is a chain of 500 `=>`: the annotations read in one call are one
+    object, so comparing them stops at identity, and only printing recurses."""
+    chain = " => ".join(f"P{i}" for i in range(501))
+    argv = [arg.replace("A", chain) for arg in argv]
+    assert invoke(capsys, "natded", *argv) == (code, out.replace("A", chain) + "\n", "")
+
+
 def test_natded_check_rejects(capsys):
     code, out, _ = invoke(capsys, "natded", "check", "--form", "scheme", "hyp [P]")
     assert code == 1

@@ -424,6 +424,50 @@ def test_sequent_files_share_no_proposition_across_calls():
     assert not {id(p) for p in _props_in(first)} & {id(p) for p in _props_in(second)}
 
 
+def _props_read(value) -> list:
+    """Every proposition in a term, sequent or proposition, parts included."""
+    stack, found = [value], []
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (nd.Atom, nd.And, nd.Imp)):
+            found.append(item)
+        if isinstance(item, (tuple, frozenset)):
+            stack += item
+    return found
+
+
+# each reader, a text that repeats a proposition, and its distinct propositions
+SHARING_READS = [
+    (
+        lambda text: nd.parse_term(text, "scheme"),
+        "fun [P /\\ Q] <snd(hyp [P /\\ Q]), axiom {(P) /\\ Q, Q | P/\\Q}>",
+        {P, Q, PQ},
+    ),
+    (
+        lambda text: nd.parse_term(text, "var"),
+        "fun x : P /\\ Q . fun y : (P /\\ Q) => Q . <fst(x), y>",
+        {P, Q, PQ, nd.Imp(PQ, Q)},
+    ),
+    (nd.parse_prop, "(P /\\ Q) => P /\\ (Q)", {P, Q, PQ, nd.Imp(PQ, PQ)}),
+    (nd.parse_sequent, "P /\\ Q, Q |- (P /\\ Q) /\\ Q", {P, Q, PQ, nd.And(PQ, Q)}),
+]
+
+
+@pytest.mark.parametrize("read, text, distinct", SHARING_READS, ids=["scheme", "var", "prop", "sequent"])
+def test_equal_propositions_in_one_read_are_one_object(read, text, distinct):
+    first = {}
+    for prop in _props_read(read(text)):
+        assert first.setdefault(prop, prop) is prop
+    assert set(first) == distinct
+
+
+@pytest.mark.parametrize("read, text, distinct", SHARING_READS, ids=["scheme", "var", "prop", "sequent"])
+def test_reads_share_no_proposition_across_calls(read, text, distinct):
+    first, second = read(text), read(text)
+    assert first == second
+    assert not {id(p) for p in _props_read(first)} & {id(p) for p in _props_read(second)}
+
+
 def test_a_node_renders_a_proposition_only_for_a_reason(monkeypatch):
     """A node that checks renders nothing, tagged or not; an untagged node
     that fails renders its sequent once, for its reason."""
