@@ -20,11 +20,12 @@ def format_path(path: tuple[int, ...]) -> str:
 class ParseError(ValueError):
     """A linear form or a file failed to parse.
 
-    `position` is a character offset into the input, computed when the
-    error is raised: where the failing token starts (all linear forms
-    report it through `trees.TokenCursor`), or the input's length at its end.
-    Line-oriented files give a line number instead.  `message` is the
-    text without the position.
+    `position` is a character offset into the input: where the failing
+    token starts, or the input's length at its end.  A linear-form reader
+    raises at a token index, and `trees.read_text` turns that into the
+    offset through a `trees.TokenCursor`, built only then.  Line-oriented
+    files give a line number instead.  `message` is the text without the
+    position.
     """
 
     def __init__(self, message: str, position: int = 0):

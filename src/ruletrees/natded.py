@@ -20,11 +20,14 @@ from the root toward the leaves (each binder extends the context with
 its annotation, and a named binder also makes its name visible), then
 conclusions flow back from the leaves to the root.
 
-Propositions are read by one loop, by precedence climbing, so their
-parentheses nest without limit.  Every reader builds each distinct
-proposition once per call, so equal propositions in one term, sequent or
-file are one object and compare at identity; a sequent-derivation file
-also reads each distinct line and proposition text once.
+Every reader splits its text into tokens by str methods and reads them
+by index (`trees.read_text`), building a TokenCursor only to report an
+error.  Propositions are read by one loop, by precedence climbing, so
+their parentheses nest without limit; terms by one frame per level.
+Every reader builds each distinct proposition once per call, so equal
+propositions in one term, sequent or file are one object and compare at
+identity; a sequent-derivation file also reads each distinct line and
+proposition text once.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import re
 from typing import Iterable, Iterator, Union
 
 from .errors import ParseError, Rejected
-from .trees import TokenCursor, Tree, check_nodes, record
+from .trees import Tree, check_nodes, read_text, record, tokenize
 
 
 # ---------------------------------------------------------------- propositions
@@ -232,6 +235,11 @@ def scheme_sequent_tree(term: Term, root_ctx: Iterable[Prop] = ()) -> Tree:
     return _sequent_node(term, frozenset(root_ctx), ())
 
 
+def _node(ctx: frozenset, concl: Prop, rule: str, children: tuple = ()) -> Tree:
+    """`Tree((Sequent(ctx, concl), rule), children)`, built as both classes would build it."""
+    return tuple.__new__(Tree, ((tuple.__new__(Sequent, (ctx, concl)), rule), children))
+
+
 def _sequent_node(term: Term, ctx: frozenset, binders: tuple[tuple[str, Prop], ...]) -> Tree:
     if isinstance(term, Hyp):
         if term.prop not in ctx:
@@ -240,7 +248,7 @@ def _sequent_node(term: Term, ctx: frozenset, binders: tuple[tuple[str, Prop], .
                 f"hypothesis {print_prop(term.prop)} is not in the context "
                 f"{render_context(ctx)}",
             )
-        return Tree((Sequent(ctx, term.prop), AXIOM))
+        return _node(ctx, term.prop, AXIOM)
     if isinstance(term, HypFull):
         expected = term.ctx | {term.prop}
         if ctx != expected:
@@ -249,11 +257,11 @@ def _sequent_node(term: Term, ctx: frozenset, binders: tuple[tuple[str, Prop], .
                 f"axiom carries context {render_context(expected)} but sits "
                 f"under {render_context(ctx)}",
             )
-        return Tree((Sequent(ctx, term.prop), AXIOM))
+        return _node(ctx, term.prop, AXIOM)
     if isinstance(term, Var):
         for name, prop in reversed(binders):
             if name == term.name:
-                return Tree((Sequent(ctx, prop), AXIOM))
+                return _node(ctx, prop, AXIOM)
         raise UnboundVariable((), f"variable {term.name} is not bound")
     at = 0  # the index of the subterm checked, for the path of its Rejected
     try:
@@ -261,14 +269,14 @@ def _sequent_node(term: Term, ctx: frozenset, binders: tuple[tuple[str, Prop], .
             if isinstance(term, LamV):
                 binders += ((term.name, term.prop),)
             body = _sequent_node(term.body, ctx | {term.prop}, binders)
-            concl = Imp(term.prop, body.label[0].concl)
-            return Tree((Sequent(ctx, concl), IMP_INTRO), (body,))
+            concl = tuple.__new__(Imp, (term.prop, body.label[0].concl))
+            return _node(ctx, concl, IMP_INTRO, (body,))
         if isinstance(term, Pair):
             left = _sequent_node(term.left, ctx, binders)
             at = 1
             right = _sequent_node(term.right, ctx, binders)
-            concl = And(left.label[0].concl, right.label[0].concl)
-            return Tree((Sequent(ctx, concl), AND_INTRO), (left, right))
+            concl = tuple.__new__(And, (left.label[0].concl, right.label[0].concl))
+            return _node(ctx, concl, AND_INTRO, (left, right))
         if not isinstance(term, (Fst, Snd)):
             raise TypeError(f"not a proof term: {term!r}")
         body = _sequent_node(term.body, ctx, binders)
@@ -280,8 +288,8 @@ def _sequent_node(term: Term, ctx: frozenset, binders: tuple[tuple[str, Prop], .
         which = "fst" if isinstance(term, Fst) else "snd"
         raise ShapeMismatch((), f"{which} needs a conjunction, got {print_prop(got)}")
     if isinstance(term, Fst):
-        return Tree((Sequent(ctx, got.left), AND_ELIM1), (body,))
-    return Tree((Sequent(ctx, got.right), AND_ELIM2), (body,))
+        return _node(ctx, got.left, AND_ELIM1, (body,))
+    return _node(ctx, got.right, AND_ELIM2, (body,))
 
 
 def check_scheme(term: Term, root_ctx: Iterable[Prop] = ()) -> Sequent:
@@ -305,7 +313,7 @@ def _rebind(term: Term, names: Iterator[str] | None, binders: tuple[tuple[str, P
     if isinstance(term, Hyp if to_var else Var):
         for name, prop in reversed(binders):
             if (prop if to_var else name) == term[0]:  # the leaf's one field
-                return Var(name) if to_var else Hyp(prop)
+                return tuple.__new__(Var, (name,)) if to_var else tuple.__new__(Hyp, (prop,))
         if to_var:
             raise NoMatchingBinder((), f"no enclosing binder proves {print_prop(term.prop)}")
         raise UnboundVariable((), f"variable {term.name} is not bound")
@@ -316,13 +324,14 @@ def _rebind(term: Term, names: Iterator[str] | None, binders: tuple[tuple[str, P
         if isinstance(term, Lam if to_var else LamV):
             name = next(names) if to_var else term.name
             body = _rebind(term.body, names, binders + ((name, term.prop),))
-            return LamV(name, term.prop, body) if to_var else Lam(term.prop, body)
+            fields = (name, term.prop, body) if to_var else (term.prop, body)
+            return tuple.__new__(LamV if to_var else Lam, fields)
         if isinstance(term, Pair):
             left = _rebind(term.left, names, binders)
             at = 1
-            return Pair(left, _rebind(term.right, names, binders))
+            return tuple.__new__(Pair, (left, _rebind(term.right, names, binders)))
         if isinstance(term, (Fst, Snd)):
-            return type(term)(_rebind(term.body, names, binders))
+            return tuple.__new__(type(term), (_rebind(term.body, names, binders),))
     except Rejected as err:
         err.path = (at, *err.path)
         raise
@@ -420,6 +429,28 @@ _TOKEN_RE = re.compile(
 _RESERVED = {"fun", "hyp", "axiom", "fst", "snd"}
 
 
+def _prop_tokens(text: str) -> list[str]:
+    """`_tokens(text)` where `text` holds no other mark than a proposition's:
+    one that does stays in a token that no reader takes, as a stray
+    character does.  Past whitespace the regex takes ASCII alone, and
+    `str.isidentifier` more, so a text with any other character fails."""
+    if not text.isascii() and not "".join(text.split()).isascii():
+        raise ParseError("a character outside ASCII", 0)
+    text = text.replace("(", " ( ").replace(")", " ) ").replace("=>", " => ")
+    return text.replace("/\\", " /\\ ").split()
+
+
+def _tokens(text: str) -> list[str]:
+    """`_TOKEN_RE.findall(text)` by str methods, where `text` holds no
+    stray character."""
+    text = (
+        text.replace("[", " [ ").replace("]", " ] ").replace("{", " { ").replace("}", " } ")
+        .replace("<", " < ").replace(">", " > ").replace(",", " , ").replace("|", " | ")
+        .replace(":", " : ").replace(".", " . ")
+    )  # each `>` has had a space put before it, so "= >" was "=>"
+    return _prop_tokens(text.replace("= >", "=>"))
+
+
 # how tightly each operator binds, and the node it builds; "(" binds 0
 _BINDS = {"/\\": (2, And), "=>": (1, Imp)}
 
@@ -468,94 +499,93 @@ def _read_prop(tokens: list[str], i: int, nodes: dict) -> tuple[Prop, int]:
             i += 1
 
 
-def _parse_prop(cur: TokenCursor, nodes: dict) -> Prop:
-    """`_read_prop` at the cursor; a failure is reported at its token."""
-    try:
-        prop, cur.index = _read_prop(cur.tokens, cur.index, nodes)
-        return prop
-    except ParseError as err:
-        cur.index, message = err.position, err.message
-    cur.fail(message)
+def _annotation(tokens: list[str], i: int, opener: str, closer: str, nodes: dict) -> tuple[Prop, int]:
+    """The proposition between `opener`, at `tokens[i]`, and `closer`, read
+    into `nodes`, and the index after the closer; an atom is read inline."""
+    if tokens[i] != opener:
+        raise ParseError(f"expected '{opener}'", i)
+    name = tokens[i + 1]
+    if name.isidentifier() and tokens[i + 2] == closer and name not in _RESERVED:
+        return nodes.get(name) or nodes.setdefault(name, tuple.__new__(Atom, (name,))), i + 3
+    prop, i = _read_prop(tokens, i + 1, nodes)
+    if tokens[i] != closer:
+        raise ParseError(f"expected '{closer}'", i)
+    return prop, i + 1
 
 
 def parse_prop(text: str) -> Prop:
-    cur = TokenCursor(text, _TOKEN_RE)
-    prop = _parse_prop(cur, {})
-    cur.end()
-    return prop
+    return read_text(text, _TOKEN_RE, _tokens, _read_prop, {})
 
 
-def _parse_term(cur: TokenCursor, form: str, nodes: dict):
-    token = cur.peek()
+def _read_term(tokens: list[str], i: int, scheme: bool, nodes: dict) -> tuple[Term, int]:
+    """Read a scheme term (`scheme` true) or a var term from `tokens[i:]`,
+    one frame per level, with its propositions read into `nodes`; return it
+    and the index of the token after it.  The records have no validating
+    `__new__`, so `tuple.__new__` builds them as their classes would.  A
+    ParseError raised here has the index of the failing token."""
+    token = tokens[i]
+    if token == "hyp" or token == "axiom":
+        if not scheme:
+            raise ParseError(f"{token} occurs only in scheme terms", i)
+        if token == "hyp":
+            prop, i = _annotation(tokens, i + 1, "[", "]", nodes)
+            return tuple.__new__(Hyp, (prop,)), i
+        if tokens[i + 1] != "{":
+            raise ParseError("expected '{'", i + 1)
+        ctx, i = [], i + 2
+        if tokens[i] != "|":
+            prop, i = _read_prop(tokens, i, nodes)
+            ctx.append(prop)
+            while tokens[i] == ",":
+                prop, i = _read_prop(tokens, i + 1, nodes)
+                ctx.append(prop)
+        prop, i = _annotation(tokens, i, "|", "}", nodes)
+        return tuple.__new__(HypFull, (frozenset(ctx), prop)), i
     if token == "fun":
-        cur.next()
-        if form == "scheme":
-            cur.expect("[", "'['")
-            prop = _parse_prop(cur, nodes)
-            cur.expect("]", "']'")
-            return Lam(prop, _parse_term(cur, form, nodes))
-        name = cur.peek()
+        if scheme:
+            prop, i = _annotation(tokens, i + 1, "[", "]", nodes)
+            body, i = _read_term(tokens, i, True, nodes)
+            return tuple.__new__(Lam, (prop, body)), i
+        name = tokens[i + 1]
         if not name.isidentifier():
-            cur.fail("expected a variable name")
+            raise ParseError("expected a variable name", i + 1)
         if name in _RESERVED:
-            cur.fail(f"{name} is reserved")
-        cur.next()
-        cur.expect(":", "':'")
-        prop = _parse_prop(cur, nodes)
-        cur.expect(".", "'.'")
-        return LamV(name, prop, _parse_term(cur, form, nodes))
-    if token in ("hyp", "axiom") and form != "scheme":
-        cur.fail(f"{token} occurs only in scheme terms")
-    if token == "hyp":
-        cur.next()
-        cur.expect("[", "'['")
-        prop = _parse_prop(cur, nodes)
-        cur.expect("]", "']'")
-        return Hyp(prop)
-    if token == "axiom":
-        cur.next()
-        cur.expect("{", "'{'")
-        ctx = []
-        if cur.peek() != "|":
-            ctx.append(_parse_prop(cur, nodes))
-            while cur.take(","):
-                ctx.append(_parse_prop(cur, nodes))
-        cur.expect("|", "'|'")
-        prop = _parse_prop(cur, nodes)
-        cur.expect("}", "'}'")
-        return HypFull(frozenset(ctx), prop)
-    if token in ("fst", "snd"):
-        cur.next()
-        cur.expect("(", "'('")
-        body = _parse_term(cur, form, nodes)
-        cur.expect(")", "')'")
-        return Fst(body) if token == "fst" else Snd(body)
-    if cur.take("<"):
-        left = _parse_term(cur, form, nodes)
-        cur.expect(",", "','")
-        right = _parse_term(cur, form, nodes)
-        cur.expect(">", "'>'")
-        return Pair(left, right)
-    if cur.take("("):
-        term = _parse_term(cur, form, nodes)
-        cur.expect(")", "')'")
-        return term
-    if token.isidentifier():
-        if form != "var":
-            cur.fail("bare variables occur only in var terms")
-        cur.next()
-        return Var(token)
-    cur.fail("expected a term")
+            raise ParseError(f"{name} is reserved", i + 1)
+        prop, i = _annotation(tokens, i + 2, ":", ".", nodes)
+        body, i = _read_term(tokens, i, False, nodes)
+        return tuple.__new__(LamV, (name, prop, body)), i
+    if token == "<":
+        left, i = _read_term(tokens, i + 1, scheme, nodes)
+        if tokens[i] != ",":
+            raise ParseError("expected ','", i)
+        right, i = _read_term(tokens, i + 1, scheme, nodes)
+        if tokens[i] != ">":
+            raise ParseError("expected '>'", i)
+        return tuple.__new__(Pair, (left, right)), i + 1
+    if token == "fst" or token == "snd":
+        if tokens[i + 1] != "(":
+            raise ParseError("expected '('", i + 1)
+        body, i = _read_term(tokens, i + 2, scheme, nodes)
+        if tokens[i] != ")":
+            raise ParseError("expected ')'", i)
+        return tuple.__new__(Fst if token == "fst" else Snd, (body,)), i + 1
+    if token == "(":
+        term, i = _read_term(tokens, i + 1, scheme, nodes)
+        if tokens[i] != ")":
+            raise ParseError("expected ')'", i)
+        return term, i + 1
+    if not token.isidentifier():
+        raise ParseError("expected a term", i)
+    if scheme:
+        raise ParseError("bare variables occur only in var terms", i)
+    return tuple.__new__(Var, (token,)), i + 1
 
 
 def parse_term(text: str, form: str):
     """Parse a proof term; `form` selects the scheme or var syntax."""
     if form not in ("scheme", "var"):
         raise ValueError(f"unknown term form {form!r}")
-    cur = TokenCursor(text, _TOKEN_RE)
-    term = _parse_term(cur, form, {})
-    cur.end()
-    return term
+    return read_text(text, _TOKEN_RE, _tokens, _read_term, form == "scheme", {})
 
 
 # ------------------------------------------------- sequent derivation files
@@ -563,54 +593,42 @@ def parse_term(text: str, form: str):
 _SEQUENT_TOKEN_RE = re.compile(r"\|-|" + _TOKEN_RE.pattern, re.VERBOSE)
 
 
+def _read_sequent(text: str, props: dict, nodes: dict) -> Sequent:
+    """`parse_sequent(text)`, with each distinct stripped proposition text
+    read once into `props` and each distinct node built once into `nodes`.
+    No proposition holds `,` or `|-`, so str methods split `text` into
+    proposition texts.  An error is reported at its offset in `text`, after
+    the first stray character in `text` if there is one."""
+    parts = text.split("|-")
+    if len(parts) != 2:
+        raise ParseError("a sequent needs exactly one |-", 0)
+    texts = parts[0].split(",") if parts[0].strip() else []
+    texts.append(parts[1])
+    read = []
+    for part in texts:
+        key = part.strip()
+        prop = props.get(key)
+        if prop is None:
+            try:
+                prop = props[key] = read_text(part, _TOKEN_RE, _prop_tokens, _read_prop, nodes)
+            except ParseError:  # found again with every mark, after a stray character in `text`
+                tokenize(text, _SEQUENT_TOKEN_RE)
+                k = len(read)  # `part` is texts[k]; its offset in `text`:
+                start = sum(len(t) + 1 for t in texts[:k])  # past a `,` each
+                if k == len(texts) - 1:  # the conclusion, at the end
+                    start = len(text) - len(part)
+                try:
+                    read_text(part, _TOKEN_RE, _tokens, _read_prop, {})
+                except ParseError as err:
+                    raise ParseError(err.message, start + err.position) from None
+        read.append(prop)
+    return tuple.__new__(Sequent, (frozenset(read[:-1]), read[-1]))
+
+
 def parse_sequent(text: str) -> Sequent:
     """Parse `P, Q |- R`: a comma-separated, possibly empty context, the
     turnstile and a conclusion."""
-    if text.count("|-") != 1:
-        raise ParseError("a sequent needs exactly one |-", 0)
-    cur, nodes, props = TokenCursor(text, _SEQUENT_TOKEN_RE), {}, []
-    if cur.peek() != "|-":
-        props.append(_parse_prop(cur, nodes))
-        while cur.take(","):
-            props.append(_parse_prop(cur, nodes))
-    if not cur.take("|-"):
-        cur.fail("unexpected trailing input")
-    conclusion = _parse_prop(cur, nodes)
-    cur.end()
-    return Sequent(frozenset(props), conclusion)
-
-
-def _read_sequent(content: str, props: dict, nodes: dict) -> Sequent:
-    """`parse_sequent(content)`, with each distinct stripped proposition
-    text read once into `props` and each distinct node built once into
-    `nodes`.  No proposition holds `,` or `|-`, so str methods split the
-    line, and they split an ASCII proposition's tokens too; a line that
-    does not read so goes through `parse_sequent`, which reports its
-    error."""
-    parts = content.split("|-")
-    if len(parts) == 2:
-        texts = parts[0].split(",") if parts[0].strip() else []
-        texts.append(parts[1])
-        read = []
-        for text in texts:
-            text = text.strip()
-            prop = props.get(text)
-            if prop is None:
-                if not text.isascii():  # str.isidentifier takes more than the token regex
-                    break
-                tokens = text.replace("(", " ( ").replace(")", " ) ").replace("/\\", " /\\ ")
-                tokens = tokens.replace("=>", " => ").split() + [""]
-                try:
-                    prop, i = _read_prop(tokens, 0, nodes)
-                except ParseError:
-                    break
-                if tokens[i]:
-                    break
-                props[text] = prop
-            read.append(prop)
-        else:
-            return Sequent(frozenset(read[:-1]), read[-1])
-    return parse_sequent(content)
+    return _read_sequent(text, {}, {})
 
 
 _TAG_RE = re.compile(r"\[([^\[\]]+)\]\s*$")

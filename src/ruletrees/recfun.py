@@ -37,10 +37,11 @@ from .errors import (
     ArityMismatch,
     DecodeError,
     IllFormed,
+    ParseError,
     ResourceLimit,
     format_path,
 )
-from .trees import TokenCursor, Tree, record
+from .trees import Tree, read_text, record
 
 
 class Zero(record("arity")):
@@ -404,35 +405,46 @@ def _base_program(name: str) -> Program | None:
 def parse_program(text: str) -> Program:
     """Parse the linear form.  Structure only: arity violations are left
     to `arity_of`."""
-    cur = TokenCursor(text, _PROGRAM_TOKEN_RE)
-    program = _parse_prog(cur)
-    cur.end()
-    return program
+    return read_text(text, _PROGRAM_TOKEN_RE, _program_tokens, _read_prog)
 
 
-def _parse_prog(cur: TokenCursor) -> Program:
-    word = cur.peek()
-    program = _base_program(word)
-    if program is None and word not in ("comp", "rec", "mu"):
-        cur.fail("expected zero^N, succ, proj^N_I, comp, rec, or mu")
-    cur.next()
-    if program is not None:
-        return program
-    cur.expect("(", "'('")
-    first = _parse_prog(cur)
+def _program_tokens(text: str) -> list[str]:
+    """`_PROGRAM_TOKEN_RE.findall(text)` by str methods: no character is stray."""
+    return text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").replace(";", " ; ").split()
+
+
+def _read_prog(tokens: list[str], i: int) -> tuple[Program, int]:
+    """Read a program from `tokens[i:]`, one frame per level; return it and
+    the index of the token after it.  The combinators have no validating
+    `__new__`, so `tuple.__new__` builds them as their classes would.  A
+    ParseError raised here has the index of the failing token."""
+    word = tokens[i]
+    if word not in ("comp", "rec", "mu"):
+        program = _base_program(word)
+        if program is None:
+            raise ParseError("expected zero^N, succ, proj^N_I, comp, rec, or mu", i)
+        return program, i + 1
+    if tokens[i + 1] != "(":
+        raise ParseError("expected '('", i + 1)
+    first, i = _read_prog(tokens, i + 2)
     if word == "comp":
-        cur.expect(";", "';'")
-        inner = [_parse_prog(cur)]
-        while cur.take(","):
-            inner.append(_parse_prog(cur))
-        program = Comp(first, tuple(inner))
+        if tokens[i] != ";":
+            raise ParseError("expected ';'", i)
+        inner = []
+        while not inner or tokens[i] == ",":  # the first after the ";"
+            program, i = _read_prog(tokens, i + 1)
+            inner.append(program)
+        program = tuple.__new__(Comp, (first, tuple(inner)))
     elif word == "rec":
-        cur.expect(",", "','")
-        program = Rec(first, _parse_prog(cur))
+        if tokens[i] != ",":
+            raise ParseError("expected ','", i)
+        step, i = _read_prog(tokens, i + 1)
+        program = tuple.__new__(Rec, (first, step))
     else:
-        program = Mu(first)
-    cur.expect(")", "')'")
-    return program
+        program = tuple.__new__(Mu, (first,))
+    if tokens[i] != ")":
+        raise ParseError("expected ')'", i)
+    return program, i + 1
 
 
 # ----------------------------------------------- bridge to name-labeled trees

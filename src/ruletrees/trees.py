@@ -10,10 +10,13 @@ where NAME is any nonempty run of characters other than parentheses,
 commas, and whitespace.  A nullary node may be written `f1` or `f1()`;
 the printer always emits the bare form.
 
-`tokenize` and `TokenCursor` read natded's proof terms and recfun's
-programs with one token regex each; name trees split off the same tokens
-by str methods and build a cursor only to report an error.  A token is a
-plain string: a ParseError computes its position when raised.
+Every linear form (name trees here, natded's propositions, sequents and
+proof terms, recfun's programs) has one token regex, and its reader
+splits off the same tokens by str methods and reads them by index.  A
+token is a plain string: a reader raises at a token index, and
+`read_text` builds a `TokenCursor` only then, to report the error at its
+offset in the text, or ahead of it a stray character, which no token
+takes.
 """
 
 from __future__ import annotations
@@ -57,9 +60,11 @@ class Tree(record("label", "children", defaults=((),))):
     # Tree has no validating `__new__`: `tuple.__new__(Tree, (label, children))`
     # is the same value as `Tree(label, children)`, built without namedtuple's
     # Python-level `__new__`.  Only the hot builders use it: `parse_name_tree`
-    # (every node), `engine.infer_full_tree` and the runs of
-    # `automata.derivations_of`.  The folds go through `fold`; the
-    # printers and `engine.check_full_tree` keep a run loop of their own.
+    # (every node), `engine.infer_full_tree`, the runs of
+    # `automata.derivations_of` and natded's `_sequent_node`; natded's and
+    # recfun's readers and natded's `_rebind` build their records the same
+    # way.  The folds go through `fold`; the printers and
+    # `engine.check_full_tree` keep a run loop of their own.
     __slots__ = ()
 
     def height(self) -> int:
@@ -194,7 +199,8 @@ def tokenize(text: str, token_re: re.Pattern) -> list[str]:
 
 class TokenCursor:
     """Reads the tokens of `text` front to back; `next` stays on the last
-    token, "".  `fail` finds the current token's offset by a second scan."""
+    token, "".  `fail` finds the current token's offset by a second scan.
+    The readers build one only to report an error, through `read_text`."""
 
     __slots__ = ("text", "token_re", "tokens", "index")
 
@@ -246,21 +252,42 @@ def _name_tokens(text: str) -> list[str]:
     return text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split()
 
 
-def _name_tree_error(text: str, index: int, message: str) -> NoReturn:
-    cur = TokenCursor(text, _NAME_TOKEN_RE)
-    cur.index = index
-    cur.fail(message)
+def read_text(text: str, token_re: re.Pattern, split: Callable, read: Callable, *args) -> Any:
+    """What `read(tokens, 0, *args)` reads from the whole of `tokens`:
+    `split(text)`, the tokens that `token_re` finds in `text` split off by
+    str methods, and a last "" for the end.  `read` returns its value and
+    the index after it, and raises a ParseError at a token index, which a
+    TokenCursor, built only then, reports at its offset in `text`.  A stray
+    character stays inside a token that `read` rejects, and the cursor
+    reports it first; past the recursion limit too."""
+    try:
+        tokens = split(text)
+        tokens.append("")
+        value, i = read(tokens, 0, *args)
+        if tokens[i]:
+            raise ParseError("unexpected trailing input", i)
+        return value
+    except ParseError as err:
+        cur = TokenCursor(text, token_re)
+        cur.index = err.position
+        cur.fail(err.message)
+    except RecursionError:
+        if not all(map(token_re.fullmatch, set(tokens) - {""})):
+            tokenize(text, token_re)  # raises at the stray character a token holds
+        raise
 
 
 def parse_name_tree(text: str) -> Tree:
-    """Parse the linear form into a tree with string labels, without recursion;
-    a TokenCursor is built only to report an error."""
-    tokens = _name_tokens(text) + [""]
-    names, kids, i = [], {}, 0  # the open nodes' names; kids[depth]: children before a ","
+    """Parse the linear form into a tree with string labels, without recursion."""
+    return read_text(text, _NAME_TOKEN_RE, _name_tokens, _read_name_tree)
+
+
+def _read_name_tree(tokens: list[str], i: int) -> tuple[Tree, int]:
+    names, kids = [], {}  # the open nodes' names; kids[depth]: children before a ","
     while True:
         name = tokens[i]
         if name in "(),":  # also true for "", the end of the text
-            _name_tree_error(text, i, "expected a rule name")
+            raise ParseError("expected a rule name", i)
         if tokens[i + 1] == "(" and tokens[i + 2] != ")":
             names.append(name)
             i += 2
@@ -273,14 +300,12 @@ def parse_name_tree(text: str) -> Tree:
                 i += 1
                 break
             if tokens[i] != ")":
-                _name_tree_error(text, i, "expected ',' or ')'")
+                raise ParseError("expected ',' or ')'", i)
             children = kids.pop(len(names), None) if kids else None
             children = (node,) if children is None else (*children, node)
             node, i = tuple.__new__(Tree, (names.pop(), children)), i + 1
         else:
-            if tokens[i]:
-                _name_tree_error(text, i, "unexpected trailing input")
-            return node
+            return node, i
 
 
 def print_name_tree(tree: Tree) -> str:

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 import ruletrees
 from ruletrees import cli
+from ruletrees import natded as nd
 from ruletrees import recfun as rf
 from ruletrees.cli import build_parser, run
-from ruletrees.errors import ResourceLimit
+from ruletrees.errors import ParseError, ResourceLimit
 from ruletrees.trees import LATEX_PREAMBLE
 
 PARITY_TEXT = """\
@@ -492,6 +493,40 @@ def test_a_latex_run_that_fails_prints_nothing(capsys, tmp_path, argv):
     finally:
         sys.setrecursionlimit(limit)
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("tail, stray", [(" $", "$"), (" 2P", "2")])
+def test_a_stray_character_past_the_recursion_limit_is_a_syntax_error(capsys, tail, stray):
+    """A term nested past the recursion limit fails as it reads, before
+    the stray character at its end is reached; that character is still
+    reported, as in a shallow term: a one-line syntax error and exit 2."""
+    text = "fun [P] " + "fst(<" * 700 + "hyp [P]" + ", hyp [P]>)" * 700 + tail
+    message = f"unexpected character {stray!r}"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        with pytest.raises(ParseError) as info:
+            nd.parse_term(text, "scheme")
+        got = invoke(capsys, "natded", "check", "--form", "scheme", text)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (info.value.message, info.value.position) == (message, 11_216)
+    assert got == (2, "", f"syntax error: {message} (at position 11216)\n")
+
+
+def test_a_sequent_line_spaced_with_non_ascii_whitespace_shares_its_propositions(capsys, tmp_path):
+    """`A` is a chain of 900 `=>`.  The second line's conclusion, spaced with
+    `\\xa0`, is read into the file's propositions as the ASCII-spaced one
+    is, so it is the same object as its context's `A` and compares at
+    identity."""
+    chain = " => ".join(f"P{i}" for i in range(901))
+    verdicts = []
+    for space in (" ", "\xa0"):
+        deriv = tmp_path / "deep.seq"
+        concl = chain.replace(" ", space)
+        deriv.write_text(f"|- ({chain}) => {chain}  [imp-intro]\n  {chain} |- {concl}  [axiom]\n")
+        verdicts.append(invoke(capsys, "natded", "check", "--form", "sequent", f"@{deriv}"))
+    assert verdicts[0] == verdicts[1] == (0, f"|- ({chain}) => {chain}\n", "")
 
 
 def _latex_chain(parts: list) -> str:

@@ -1351,3 +1351,106 @@ def test_a_name_tree_builds_a_token_cursor_only_to_report_an_error(monkeypatch):
         expected = ([(text, _NAME_TOKEN_RE)], message, position)
         assert (built, info.value.message, info.value.position) == expected
         built.clear()
+
+
+# ------------------------------------ str-method tokens of natded and recfun
+
+def spaced_tokens(rng: random.Random, text: str, token_re) -> str:
+    """`text` with runs of any kind of whitespace at the start and end of
+    each token that `token_re` finds, and at its ends."""
+    cuts = sorted({0, len(text)}.union(*((m.start(), m.end()) for m in token_re.finditer(text))))
+    gaps = ("".join(rng.choices(_SPACES, k=rng.choice((0, 0, 1, 3)))) for _ in cuts)
+    return "".join(text[a:b] + gap for a, b, gap in zip([0] + cuts, cuts, gaps)) + text[cuts[-1]:]
+
+
+def sequent_tokens(text):
+    """The tokens the sequent reader splits off `text`: those of its
+    propositions' texts, with the `,` and `|-` between them."""
+    if text.count("|-") != 1:
+        return None
+    context, conclusion = text.split("|-")
+    tokens = []
+    for part in context.split(",") if context.strip() else []:
+        tokens += nd._tokens(part) + [","]
+    return tokens[:-1] + ["|-"] + nd._tokens(conclusion)
+
+
+def has_stray(text: str, token_re) -> bool:
+    try:
+        trees.tokenize(text, token_re)
+    except ParseError:
+        return True
+    return False
+
+
+def natded_texts(rng: random.Random) -> dict:
+    """A proposition, a sequent, terms of both forms (one with an axiom
+    that carries a context, one in parentheses) and a program."""
+    props = [nd.print_prop(generators.prop(rng, 3)) for _ in range(3)]
+    term = nd.print_term(generators.scheme_term(rng))
+    return {
+        "prop": props[0],
+        "sequent": f"{', '.join(props[:rng.randint(0, 2)])} |- {props[2]}",
+        "scheme": rng.choice((term, f"({term})", f"<{term}, axiom {{{props[0]}, {props[1]} | {props[2]}}}>")),
+        "var": nd.print_term(generators.var_term(rng)),
+        "program": rf.print_program(generators.program(rng, rng.randint(0, 3), rng.randint(0, 3))),
+    }
+
+
+_READERS = {  # the reader, the reference reader, the token regex and the reader's tokens
+    "prop": (nd.parse_prop, ref_parse_prop, nd._TOKEN_RE, nd._tokens),
+    "sequent": (nd.parse_sequent, ref_parse_sequent, nd._SEQUENT_TOKEN_RE, sequent_tokens),
+    "scheme": (lambda t: nd.parse_term(t, "scheme"), lambda t: ref_parse_term(t, "scheme"), nd._TOKEN_RE, nd._tokens),
+    "var": (lambda t: nd.parse_term(t, "var"), lambda t: ref_parse_term(t, "var"), nd._TOKEN_RE, nd._tokens),
+    "program": (rf.parse_program, ref_parse_program, rf._PROGRAM_TOKEN_RE, rf._program_tokens),
+}
+
+
+@given(_seeds)
+def test_natded_and_recfun_str_method_tokens_match_their_token_regexes(seed):
+    """natded's and recfun's readers split their tokens off by str methods.
+    On texts spaced with every kind of whitespace, as written, with one more
+    whitespace character anywhere (it may split a token) and broken, the
+    tokens are the token regex's wherever no character is stray (and
+    without the marks of terms, a proposition's str-method tokens are too),
+    and the value or ParseError is the position-carrying reader's."""
+    rng = random.Random(seed)
+    for kind, text in natded_texts(rng).items():
+        parse, reference, token_re, split = _READERS[kind]
+        text = spaced_tokens(rng, text, token_re)
+        assert outcome(parse, text) == outcome(reference, text) and parse(text), text
+        at = rng.randrange(len(text) + 1)
+        split_text = text[:at] + rng.choice(_SPACES) + text[at:]
+        for edited in (text, split_text, broken(rng, text), spaced_tokens(rng, broken(rng, text), token_re)):
+            if not has_stray(edited, token_re) and split(edited) is not None:
+                assert split(edited) == token_re.findall(edited), edited
+                if kind == "prop" and not re.search(r"[\[\]{}<>,|:.]", edited):
+                    assert nd._prop_tokens(edited) == token_re.findall(edited), edited
+            assert outcome(parse, edited) == outcome(reference, edited), edited
+
+
+def test_natded_and_recfun_readers_build_a_token_cursor_only_to_report_an_error(monkeypatch):
+    built = []
+    monkeypatch.setattr(trees, "TokenCursor", lambda *args: built.append(args) or TokenCursor(*args))
+    deriv = "|- P => P /\\ P  [imp-intro]\n  P |- P /\\ P  [and-intro]\n    P |- P\n    P |- P"
+    nd.check_sequent_deriv(nd.parse_sequent_deriv(deriv))
+    assert nd.print_prop(nd.parse_prop(" (P => Q) /\\ R ")) == "(P => Q) /\\ R"
+    assert nd.print_sequent(nd.parse_sequent("P, Q|-P/\\Q")) == "P, Q |- P /\\ Q"
+    for text in ("fun [P /\\ Q] <snd(hyp [P /\\ Q]), fst(hyp [P /\\ Q])>", "axiom {P, Q | (Q)}"):
+        assert nd.print_term(nd.parse_term(text, "scheme")) == text.replace("(Q)", "Q")
+    assert nd.print_term(nd.parse_term("fun x : P . (x)", "var")) == "fun x : P . x"
+    assert rf.print_program(rf.parse_program("comp(succ ;proj^2_1)")) == "comp(succ; proj^2_1)"
+    assert built == []
+    for parse, text, message, position in (
+        (nd.parse_prop, "P /\\ (Q", "expected ')'", 7),
+        (nd.parse_prop, "P Q", "unexpected trailing input", 2),
+        (nd.parse_sequent, "P, (Q |- R", "expected ')'", 6),
+        (nd.parse_sequent, "P |- Q $", "unexpected character '$'", 7),
+        (lambda t: nd.parse_term(t, "scheme"), "fun [P] hyp P", "expected '['", 12),
+        (lambda t: nd.parse_term(t, "var"), "fun x : P x", "expected '.'", 10),
+        (rf.parse_program, "comp(succ, succ)", "expected ';'", 9),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert built and (info.value.message, info.value.position) == (message, position), text
+        built.clear()

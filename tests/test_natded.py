@@ -468,6 +468,36 @@ def test_reads_share_no_proposition_across_calls(read, text, distinct):
     assert not {id(p) for p in _props_read(first)} & {id(p) for p in _props_read(second)}
 
 
+@pytest.mark.parametrize(
+    "form, text",
+    [
+        ("scheme", "fun [P] fun [P /\\ Q] <hyp [P], axiom {P, Q | P}>"),
+        ("var", "fun x : P . fun y : Q => P . fun z : P . <x, y>"),
+    ],
+)
+def test_atom_annotations_read_inline_are_the_reads_atoms(form, text):
+    """An annotation that is one atom is read without the proposition
+    reader, into the same memo: every `P` of one read is one object."""
+    atoms = [prop for prop in _props_read(nd.parse_term(text, form)) if prop == P]
+    assert len(atoms) >= 3 and len({id(atom) for atom in atoms}) == 1
+
+
+@pytest.mark.parametrize(
+    "form, text, word, position",
+    [
+        ("scheme", "hyp [fun]", "fun", 5),
+        ("scheme", "fun [hyp] hyp [hyp]", "hyp", 5),
+        ("var", "fun x : fst . x", "fst", 8),
+        ("scheme", "axiom {| snd}", "snd", 9),
+        ("scheme", "axiom {P | axiom}", "axiom", 11),
+    ],
+)
+def test_a_reserved_word_is_no_atom_annotation(form, text, word, position):
+    with pytest.raises(ParseError) as info:
+        nd.parse_term(text, form)
+    assert (info.value.message, info.value.position) == (f"{word} is reserved", position)
+
+
 def test_a_node_renders_a_proposition_only_for_a_reason(monkeypatch):
     """A node that checks renders nothing, tagged or not; an untagged node
     that fails renders its sequent once, for its reason."""
