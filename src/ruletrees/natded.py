@@ -324,8 +324,9 @@ def _rebind(term: Term, names: Iterator[str] | None, binders: tuple[tuple[str, P
         if isinstance(term, Lam if to_var else LamV):
             name = next(names) if to_var else term.name
             body = _rebind(term.body, names, binders + ((name, term.prop),))
-            fields = (name, term.prop, body) if to_var else (term.prop, body)
-            return tuple.__new__(LamV if to_var else Lam, fields)
+            if to_var:
+                return tuple.__new__(LamV, (name, term.prop, body))
+            return tuple.__new__(Lam, (term.prop, body))
         if isinstance(term, Pair):
             left = _rebind(term.left, names, binders)
             at = 1
@@ -501,12 +502,9 @@ def _read_prop(tokens: list[str], i: int, nodes: dict) -> tuple[Prop, int]:
 
 def _annotation(tokens: list[str], i: int, opener: str, closer: str, nodes: dict) -> tuple[Prop, int]:
     """The proposition between `opener`, at `tokens[i]`, and `closer`, read
-    into `nodes`, and the index after the closer; an atom is read inline."""
+    into `nodes`, and the index after the closer."""
     if tokens[i] != opener:
         raise ParseError(f"expected '{opener}'", i)
-    name = tokens[i + 1]
-    if name.isidentifier() and tokens[i + 2] == closer and name not in _RESERVED:
-        return nodes.get(name) or nodes.setdefault(name, tuple.__new__(Atom, (name,))), i + 3
     prop, i = _read_prop(tokens, i + 1, nodes)
     if tokens[i] != closer:
         raise ParseError(f"expected '{closer}'", i)
@@ -597,8 +595,10 @@ def _read_sequent(text: str, props: dict, nodes: dict) -> Sequent:
     """`parse_sequent(text)`, with each distinct stripped proposition text
     read once into `props` and each distinct node built once into `nodes`.
     No proposition holds `,` or `|-`, so str methods split `text` into
-    proposition texts.  An error is reported at its offset in `text`, after
-    the first stray character in `text` if there is one."""
+    proposition texts, and `_prop_tokens` splits each (`_tokens`, with the
+    marks of terms, makes a file's read 1.1x as slow).  A text that fails
+    is read again by `_tokens`, to report its error where the regex's
+    tokens place it in `text`, after the first stray character if any."""
     parts = text.split("|-")
     if len(parts) != 2:
         raise ParseError("a sequent needs exactly one |-", 0)

@@ -469,20 +469,6 @@ def test_reads_share_no_proposition_across_calls(read, text, distinct):
 
 
 @pytest.mark.parametrize(
-    "form, text",
-    [
-        ("scheme", "fun [P] fun [P /\\ Q] <hyp [P], axiom {P, Q | P}>"),
-        ("var", "fun x : P . fun y : Q => P . fun z : P . <x, y>"),
-    ],
-)
-def test_atom_annotations_read_inline_are_the_reads_atoms(form, text):
-    """An annotation that is one atom is read without the proposition
-    reader, into the same memo: every `P` of one read is one object."""
-    atoms = [prop for prop in _props_read(nd.parse_term(text, form)) if prop == P]
-    assert len(atoms) >= 3 and len({id(atom) for atom in atoms}) == 1
-
-
-@pytest.mark.parametrize(
     "form, text, word, position",
     [
         ("scheme", "hyp [fun]", "fun", 5),
