@@ -292,42 +292,24 @@ def check_elem_tree(system: RuleSystem, tree: Tree) -> None:
     check_nodes(tree, check)
 
 
-def _apply_named(system: RuleSystem, name: str, child_elems: tuple):
-    """The element the rule called `name` derives from `child_elems`;
-    raises UnknownRuleName, ArityMismatch or RuleUndefined at the root."""
-    rule = system._by_name.get(name)
-    if rule is None:
-        raise UnknownRuleName((), f"unknown rule {name}")
-    if rule.arity != len(child_elems):
-        raise ArityMismatch(
-            (),
-            f"rule {name} expects {rule.arity} premise(s), "
-            f"node has {len(child_elems)}",
-        )
-    result = rule.fn(*child_elems)
-    if result is None:
-        raise RuleUndefined(
-            (),
-            f"rule {name} is undefined at "
-            f"({', '.join(render_element(e) for e in child_elems)})",
-        )
-    return result
-
-
 def _reject(system: RuleSystem, tree: Tree, node: Tree, name: str, elems: tuple, element=None):
     """Raise the Rejected of `node` in `tree`, whose rule `name` takes the
-    children's elements `elems`, at the path of its first occurrence: from
-    `_apply_named`, or else because the rule does not yield `element`."""
-    try:
-        result = _apply_named(system, name, elems)
-        raise Rejected(
-            (),
-            f"rule {name} yields {render_element(result)}, "
-            f"node is labeled {render_element(element)}",
+    children's elements `elems`, at the path of its first occurrence:
+    UnknownRuleName, ArityMismatch or RuleUndefined, or else a Rejected
+    because the rule does not yield `element`."""
+    rule = system._by_name.get(name)
+    if rule is None:
+        err = UnknownRuleName((), f"unknown rule {name}")
+    elif rule.arity != len(elems):
+        err = ArityMismatch((), f"rule {name} expects {rule.arity} premise(s), node has {len(elems)}")
+    elif (result := rule.fn(*elems)) is None:
+        err = RuleUndefined((), f"rule {name} is undefined at ({', '.join(map(render_element, elems))})")
+    else:
+        err = Rejected(
+            (), f"rule {name} yields {render_element(result)}, node is labeled {render_element(element)}"
         )
-    except Rejected as err:
-        err.path = first_path(tree, node)
-        raise
+    err.path = first_path(tree, node)
+    raise err
 
 
 def check_full_tree(system: RuleSystem, tree: Tree) -> None:

@@ -23,9 +23,9 @@ class ParseError(ValueError):
     `position` is a character offset into the input: where the failing
     token starts, or the input's length at its end.  A linear-form reader
     raises at a token index, and `trees.read_text` turns that into the
-    offset through a `trees.TokenCursor`, built only then.  Line-oriented
-    files give a line number instead.  `message` is the text without the
-    position.
+    offset by a scan with the form's token regex, run only then.
+    Line-oriented files give a line number instead.  `message` is the text
+    without the position.
     """
 
     def __init__(self, message: str, position: int = 0):

@@ -21,9 +21,10 @@ its annotation, and a named binder also makes its name visible), then
 conclusions flow back from the leaves to the root.
 
 Every reader splits its text into tokens by str methods and reads them
-by index (`trees.read_text`), building a TokenCursor only to report an
-error.  Propositions are read by one loop, by precedence climbing, so
-their parentheses nest without limit; terms by one frame per level.
+by index (`trees.read_text`), scanning it with its token regex only to
+report an error.  Propositions are read by one loop, by precedence
+climbing, so their parentheses nest without limit; terms by one frame per
+level.
 Every reader builds each distinct proposition once per call, so equal
 propositions in one term, sequent or file are one object and compare at
 identity; a sequent-derivation file also reads each distinct line and

@@ -14,9 +14,8 @@ Every linear form (name trees here, natded's propositions, sequents and
 proof terms, recfun's programs) has one token regex, and its reader
 splits off the same tokens by str methods and reads them by index.  A
 token is a plain string: a reader raises at a token index, and
-`read_text` builds a `TokenCursor` only then, to report the error at its
-offset in the text, or ahead of it a stray character, which no token
-takes.
+`read_text` scans the text with the regex only then, to report the error
+at its offset, or ahead of it a stray character, which no token takes.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections import namedtuple
-from typing import Any, Callable, Iterator, NoReturn
+from typing import Any, Callable, Iterator
 
 from .errors import ParseError, Rejected
 
@@ -197,50 +196,6 @@ def tokenize(text: str, token_re: re.Pattern) -> list[str]:
     return tokens
 
 
-class TokenCursor:
-    """Reads the tokens of `text` front to back; `next` stays on the last
-    token, "".  `fail` finds the current token's offset by a second scan.
-    The readers build one only to report an error, through `read_text`."""
-
-    __slots__ = ("text", "token_re", "tokens", "index")
-
-    def __init__(self, text: str, token_re: re.Pattern):
-        self.text = text
-        self.token_re = token_re
-        self.tokens = tokenize(text, token_re)
-        self.index = 0
-
-    def peek(self) -> str:
-        return self.tokens[self.index]
-
-    def next(self) -> str:
-        token = self.tokens[self.index]
-        if token:
-            self.index += 1
-        return token
-
-    def take(self, token: str) -> bool:
-        """Step over the next token if it is `token`; say whether it did."""
-        if self.tokens[self.index] == token:
-            self.index += 1
-            return True
-        return False
-
-    def expect(self, token: str, what: str) -> None:
-        if self.tokens[self.index] != token:
-            self.fail(f"expected {what}")
-        self.index += 1
-
-    def end(self) -> None:
-        if self.tokens[self.index]:
-            self.fail("unexpected trailing input")
-
-    def fail(self, message: str) -> NoReturn:
-        rest = itertools.islice(self.token_re.finditer(self.text), self.index, None)
-        match = next(rest, None)
-        raise ParseError(message, len(self.text) if match is None else match.start())
-
-
 NAME_RE = re.compile(r"[^\s(),]+")
 """A rule name: what the linear form reads as one NAME."""
 
@@ -256,10 +211,10 @@ def read_text(text: str, token_re: re.Pattern, split: Callable, read: Callable, 
     """What `read(tokens, 0, *args)` reads from the whole of `tokens`:
     `split(text)`, the tokens that `token_re` finds in `text` split off by
     str methods, and a last "" for the end.  `read` returns its value and
-    the index after it, and raises a ParseError at a token index, which a
-    TokenCursor, built only then, reports at its offset in `text`.  A stray
-    character stays inside a token that `read` rejects, and the cursor
-    reports it first; past the recursion limit too."""
+    the index after it, and raises a ParseError at a token index, which
+    `token_re`'s scan of `text`, run only then, turns into an offset.  A
+    stray character stays inside a token that `read` rejects, and
+    `tokenize` reports it first; past the recursion limit too."""
     try:
         tokens = split(text)
         tokens.append("")
@@ -268,9 +223,9 @@ def read_text(text: str, token_re: re.Pattern, split: Callable, read: Callable, 
             raise ParseError("unexpected trailing input", i)
         return value
     except ParseError as err:
-        cur = TokenCursor(text, token_re)
-        cur.index = err.position
-        cur.fail(err.message)
+        tokenize(text, token_re)  # a stray character is reported first
+        match = next(itertools.islice(token_re.finditer(text), err.position, None), None)
+        raise ParseError(err.message, len(text) if match is None else match.start())
     except RecursionError:
         if not all(map(token_re.fullmatch, set(tokens) - {""})):
             tokenize(text, token_re)  # raises at the stray character a token holds

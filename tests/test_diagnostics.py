@@ -24,8 +24,8 @@ Rejected from the folds and checks, which handle each distinct node with
 two or more children once, as from the walks that visit every occurrence.
 Last of all, the name-tree reader splits its tokens off by str methods: on
 texts spaced with every kind of whitespace, its tokens must be the token
-regex's and its tree or ParseError both earlier readers', and it must build
-a TokenCursor only to report an error.
+regex's and its tree or ParseError both earlier readers', and it must run
+the regex scan of `trees.tokenize` only to report an error.
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ from ruletrees.errors import ArityMismatch, IllFormed, ParseError, Rejected
 from ruletrees.trees import (
     _NAME_TOKEN_RE,
     Tree,
-    TokenCursor,
     check_nodes,
     parse_name_tree,
     print_name_tree,
+    tokenize,
     tree_to_latex,
 )
 
@@ -957,9 +957,49 @@ def test_a_3000_level_sequent_file_parses_and_checks():
 
 # ------------------------------------------------------ runs of one-child nodes
 
+class RecCursor:
+    """Steps through the plain-string tokens of `text`; `next` stays on the
+    last token, "".  `fail` finds the current token's offset by a second
+    scan."""
+
+    def __init__(self, text, token_re):
+        self.text = text
+        self.token_re = token_re
+        self.tokens = tokenize(text, token_re)
+        self.index = 0
+
+    def peek(self):
+        return self.tokens[self.index]
+
+    def next(self):
+        token = self.tokens[self.index]
+        if token:
+            self.index += 1
+        return token
+
+    def take(self, token):
+        if self.tokens[self.index] == token:
+            self.index += 1
+            return True
+        return False
+
+    def expect(self, token, what):
+        if self.tokens[self.index] != token:
+            self.fail(f"expected {what}")
+        self.index += 1
+
+    def end(self):
+        if self.tokens[self.index]:
+            self.fail("unexpected trailing input")
+
+    def fail(self, message):
+        match = next(itertools.islice(self.token_re.finditer(self.text), self.index, None), None)
+        raise ParseError(message, len(self.text) if match is None else match.start())
+
+
 def rec_parse_name_tree(text):
     """The reader that recursed once per node."""
-    cur = TokenCursor(text, _NAME_TOKEN_RE)
+    cur = RecCursor(text, _NAME_TOKEN_RE)
     tree = _rec_node(cur)
     cur.end()
     return tree
@@ -1014,7 +1054,7 @@ def rec_infer_full_tree(system, name_tree):
     except Rejected as err:
         err.path = (len(children), *err.path)
         raise
-    result = engine._apply_named(system, name_tree.label, tuple(c.label[0] for c in children))
+    result = _ref_apply_named(system, name_tree.label, tuple(c.label[0] for c in children), ())
     return Tree((result, name_tree.label), tuple(children))
 
 
@@ -1335,9 +1375,9 @@ def test_regex_whitespace_is_str_whitespace():
     assert "".join(every.split()) == "".join(c for c in every if not c.isspace())
 
 
-def test_a_name_tree_builds_a_token_cursor_only_to_report_an_error(monkeypatch):
+def test_a_name_tree_is_tokenized_only_to_report_an_error(monkeypatch):
     built = []
-    monkeypatch.setattr(trees, "TokenCursor", lambda *args: built.append(args) or TokenCursor(*args))
+    monkeypatch.setattr(trees, "tokenize", lambda *args: built.append(args) or tokenize(*args))
     assert print_name_tree(parse_name_tree(" f2( f2(f1()) ,g(a,b)) ")) == "f2(f2(f1), g(a, b))"
     assert built == []
     for text, message, position in (
@@ -1429,9 +1469,9 @@ def test_natded_and_recfun_str_method_tokens_match_their_token_regexes(seed):
             assert outcome(parse, edited) == outcome(reference, edited), edited
 
 
-def test_natded_and_recfun_readers_build_a_token_cursor_only_to_report_an_error(monkeypatch):
+def test_natded_and_recfun_texts_are_tokenized_only_to_report_an_error(monkeypatch):
     built = []
-    monkeypatch.setattr(trees, "TokenCursor", lambda *args: built.append(args) or TokenCursor(*args))
+    monkeypatch.setattr(trees, "tokenize", lambda *args: built.append(args) or tokenize(*args))
     deriv = "|- P => P /\\ P  [imp-intro]\n  P |- P /\\ P  [and-intro]\n    P |- P\n    P |- P"
     nd.check_sequent_deriv(nd.parse_sequent_deriv(deriv))
     assert nd.print_prop(nd.parse_prop(" (P => Q) /\\ R ")) == "(P => Q) /\\ R"

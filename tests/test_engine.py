@@ -357,15 +357,21 @@ def test_a_fault_in_the_right_half_of_a_shared_witness_has_its_first_path():
     """The subderivation of 2**20 is renamed `bad` in the right half only:
     the left half is the untouched shared witness of 2**39, which the walks
     pass over, and the fault is reported where it first occurs, 19 levels
-    below the right half's root, down its leftmost path."""
+    below the right half's root, down its leftmost path.  Labeled 2**20 + 1
+    instead, in an element tree, it makes its parent the first node no rule
+    derives, 18 levels below the right half's root."""
     witness = member(DOUBLING, 2**40, 41)
     spine = [witness]  # spine[i] derives 2**(40 - i)
     while spine[-1].children:
         spine.append(spine[-1].children[0])
-    node = Tree((2**20, "bad"), spine[20].children)
-    for above in reversed(spine[1:20]):
-        node = Tree(above.label, (node, node))
-    broken = Tree(witness.label, (witness.children[0], node))
+
+    def plant(label):
+        node = Tree(label, spine[20].children)
+        for above in reversed(spine[1:20]):
+            node = Tree(above.label, (node, node))
+        return Tree(witness.label, (witness.children[0], node))
+
+    broken = plant((2**20, "bad"))
     path = (1,) + (0,) * 19
     start = time.perf_counter()
     with pytest.raises(UnknownRuleName) as info:
@@ -374,6 +380,10 @@ def test_a_fault_in_the_right_half_of_a_shared_witness_has_its_first_path():
     with pytest.raises(UnknownRuleName) as info:
         infer_full_tree(DOUBLING, erase_elements(broken))
     assert (info.value.path, info.value.reason) == (path, "unknown rule bad")
+    with pytest.raises(Rejected) as info:
+        check_elem_tree(DOUBLING, erase_names(plant((2**20 + 1, "add"))))
+    reason = "no rule derives 2097152 from (1048577, 1048577)"
+    assert (type(info.value), info.value.path, info.value.reason) == (Rejected, path[:-1], reason)
     assert broken.size() == 2**41 - 1
     assert time.perf_counter() - start < 1.0
 
