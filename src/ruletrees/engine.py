@@ -179,11 +179,14 @@ def _layers(system: RuleSystem, known: dict, max_size: int, limit_message: str, 
                 fresh_set = set(layer)
         layer = []
         for rule, fn, arity in rules:
-            if arity == 1:
+            if arity == 1:  # `found` inline: each tuple may add an element, as in `even`
                 for a in fresh:
                     result = fn(a)
                     if result is not None and result not in known:
-                        found(result, rule, (a,))
+                        known[result] = (rule, (a,))
+                        if len(known) > max_size:
+                            raise ResourceLimit(limit_message)
+                        layer.append(result)
             elif arity == 2:
                 for a in pool:
                     for b in pool if a in fresh_set else fresh:
@@ -257,17 +260,18 @@ def member(
     if element not in known:
         return None
     # the witness's elements, built in discovery order: arguments come first
-    needed = set()
+    needed: dict = {}
     stack = [element]
     while stack:
         e = stack.pop()
         if e not in needed:
-            needed.add(e)
-            stack.extend(known[e][1])
+            needed[e] = application = known[e]
+            stack.extend(application[1])
     trees: dict = {}
-    for e, (rule, args) in known.items():
-        if e in needed:
-            trees[e] = Tree((e, rule.name), tuple(trees[a] for a in args))
+    new, cls = Tree.__new__, Tree  # a patched `Tree` still has its `__new__` called
+    for e in filter(needed.__contains__, known):
+        rule, args = needed[e]
+        trees[e] = new(cls, (e, rule.name), tuple(map(trees.__getitem__, args)))
     return trees[element]
 
 

@@ -62,8 +62,9 @@ class Tree(record("label", "children", defaults=((),))):
     # (every node), `engine.infer_full_tree`, the runs of
     # `automata.derivations_of` and natded's `_sequent_node`; natded's and
     # recfun's readers and natded's `_rebind` build their records the same
-    # way.  The folds go through `fold`; the printers and
-    # `engine.check_full_tree` keep a run loop of their own.
+    # way, and `engine.member` calls `Tree.__new__`, skipping `type.__call__`.
+    # The folds go through `fold`; the printers and `engine.check_full_tree`
+    # keep a run loop of their own.
     __slots__ = ()
 
     def height(self) -> int:

@@ -652,22 +652,54 @@ def test_member_builds_only_its_witness(monkeypatch):
     adder = RuleSystem(
         (Rule("one", 0, lambda: 1), Rule("add", 2, lambda a, b: a + b if a + b <= 150 else None))
     )
-    for target in (8, 150):
+    # unary only: the search to 10 also reaches 1, 3, ..., 9, off its witness
+    stepper = RuleSystem(
+        (
+            Rule("z", 0, lambda: 0),
+            Rule("s1", 1, lambda a: a + 1 if a + 1 < 50 else None),
+            Rule("s2", 1, lambda a: a + 2 if a + 2 < 50 else None),
+        )
+    )
+    for system, target in ((adder, 8), (adder, 150), (stepper, 10), (stepper, 49)):
         built.clear()
-        witness = member(adder, target, 12)
+        witness = member(system, target, 30)
         nodes, stack = {}, [witness]
         while stack:
             node = stack.pop()
             nodes[id(node)] = node
             stack.extend(node.children)
         assert witness.label[0] == target
-        assert len(built) == len(nodes)
+        assert type(witness) is CountingTree
+        # every witness node once, through the patched class, and nothing else
+        assert sorted(built) == sorted(node.label for node in nodes.values())
         if target == 8:  # add(4, 4): the subderivation of 4 is one shared object
             assert witness.label == (8, "add")
             assert witness.children[0] is witness.children[1]
+        if system is stepper:  # built leaf first: z, s2 up to the even part, s1 to an odd target
+            chain = [(0, "z")] + [(k, "s2") for k in range(2, target + 1, 2)]
+            assert built == chain + [(target, "s1")] * (target % 2)
     built.clear()
     assert member(adder, 151, 12) is None
+    assert member(stepper, 50, 30) is None
     assert built == []
+
+
+@given(_seeds, st.sampled_from((generators.wide_system, generators.unary_system)))
+def test_member_witness_is_one_object_per_element(seed, build):
+    # a witness reuses the subderivation of an element wherever it is an
+    # argument: without that, add(a, a) chains double in size each layer
+    system = build(random.Random(seed))
+    closure, _ = iterate(system, 4)
+    for element in closure:
+        witness = member(system, element, 4)
+        by_element, nodes, stack = {}, set(), [witness]
+        while stack:  # every occurrence: a witness of height 4 has at most 3**3 leaves
+            node = stack.pop()
+            assert by_element.setdefault(node.label[0], node) is node
+            nodes.add(id(node))
+            stack.extend(node.children)
+        assert len(nodes) == len(by_element)
+        assert witness == _naive_member(system, element, 4)
 
 
 def test_member_builds_a_long_chain_without_recursion():
