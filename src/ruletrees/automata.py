@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from .errors import ParseError, Rejected
 from .trees import NAME_RE, Tree, record
-from .engine import Rule, RuleSystem
 
 Word = tuple[str, ...]
 
@@ -98,6 +97,8 @@ def _named(nfa: Nfa, by_letter: dict[str, list]) -> tuple[dict, list]:
 
 
 def compile_nfa(nfa: Nfa) -> CompiledRules:
+    from .engine import Rule, RuleSystem  # only here, so `nfa run` loads no engine
+
     named, finals = _named(nfa, _by_letter(nfa))
     edges = [edge for rules in named.values() for edge in rules]
     rules = [

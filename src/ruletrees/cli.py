@@ -12,13 +12,18 @@ Each outcome prints one message on one stream and exits with one code:
       (`recfun godel` on a program, `recfun ungodel` on a code)
     ResourceLimit: a composition listing more than 14284   stderr  1
       inner programs (`recfun godel`, `recfun ungodel`)
+    input nested too deeply to process: RecursionError     stderr  1
+      on the retry, past about MAX_DEPTH levels
     syntax error: ..., usage, @FILE or file errors,        stderr  2
       unknown state or letter, duplicate or invalid rule name,
       eval arity, diagonal oracle
 
 `run` decides every outcome.  A handler returns its exit code and its
 stdout lines and prints nothing, so nothing reaches stdout before a
-command has its whole output.
+command has its whole output.  The library's walks recurse once per
+nesting level, so a handler that raises RecursionError is run once more
+on a worker thread with a stack and a recursion limit sized for
+`MAX_DEPTH` levels; what that run raises goes through the same outcomes.
 
 `COMMANDS` is the one table of commands.  `build_parser` builds argparse's
 parser from it.  `_read_argv` reads a plainly well-formed argv by it into
@@ -45,6 +50,11 @@ from .errors import (
     format_path,
 )
 from .trees import LATEX_PREAMBLE, parse_name_tree, print_name_tree, tree_to_latex
+
+
+# The nesting depth, in levels of a natded term, a sequent file or a program
+# text, that the retry on a large stack (`_on_a_large_stack`) is sized for.
+MAX_DEPTH = 10_000
 
 
 def read_arg(text: str) -> str:
@@ -359,7 +369,10 @@ def run(argv=None) -> int:
                 return exc.code
             return 0 if exc.code is None else 2
     try:
-        code, lines = args.func(args)
+        try:
+            code, lines = args.func(args)
+        except RecursionError:
+            code, lines = _on_a_large_stack(args.func, args)
     except ParseError as err:
         print(f"syntax error: {err}", file=sys.stderr)
         return 2
@@ -378,9 +391,41 @@ def run(argv=None) -> int:
     except (OSError, ValueError) as err:
         print(str(err), file=sys.stderr)
         return 2
+    except RecursionError:
+        print("input nested too deeply to process", file=sys.stderr)
+        return 1
     for line in lines:
         print(line)
     return code
+
+
+def _on_a_large_stack(handler, args) -> tuple[int, list[str]]:
+    """`handler(args)` run on one worker thread with a 512 MiB stack and a
+    recursion limit of 20 * MAX_DEPTH; it returns or raises what the handler
+    did.  Both settings are the process's, so both are restored before it
+    returns: `run` is also called in process."""
+    import threading
+
+    outcome = []
+
+    def work():
+        try:
+            outcome.append(handler(args))
+        except BaseException as err:  # re-raised on the calling thread
+            outcome.append(err)
+
+    limit, size = sys.getrecursionlimit(), threading.stack_size(512 * 2**20)
+    sys.setrecursionlimit(20 * MAX_DEPTH)
+    try:
+        worker = threading.Thread(target=work)
+        worker.start()
+        worker.join()
+    finally:
+        threading.stack_size(size)
+        sys.setrecursionlimit(limit)
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    return outcome[0]
 
 
 def main():

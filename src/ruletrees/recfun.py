@@ -14,7 +14,11 @@ which never succeed are reported as divergence instead of looping.
 the walk that checks its arities.  They charge one unit of fuel, an item
 of iter(range(fuel)), at three points: a composition's entry, a
 recursion's entry and each of its steps, and a minimization's entry and
-each of its probes.
+each of its probes.  Addition's recursion, whose step is its accumulator's
+successor comp(succ; proj^N_2), runs in closed form: it charges its entry,
+runs its base, takes in one step the 2n units its n steps and their
+compositions would charge, and returns base + n, with the loop's value and
+fuel.
 
 Every well-formed program has a numeric code (`godel`/`ungodel`) built
 from the pairing function <a, b> = (a + b)(a + b + 1)/2 + b by one rule:
@@ -94,10 +98,12 @@ def _subprograms(program: Comp | Rec | Mu) -> tuple:
 
 def _compile(program: Program, fuel: Iterator | None):
     """Check a program's arities and build the closure that runs it, in one
-    walk: (run, arity).  Raises IllFormed where it fails.  The closures charge
-    with next(fuel), so none may ever run inside a generator frame, which
-    would turn StopIteration into RuntimeError (PEP 479): hence the list
-    comprehension, not a generator expression, in the many-inner comp."""
+    walk: (run, arity).  Raises IllFormed where it fails.  `fuel` is a range
+    iterator (None in `arity_of`, which runs no closure).  The closures charge
+    with next(fuel), and addition's recursion in closed form with `_spend`, so
+    none may ever run inside a generator frame, which would turn StopIteration
+    into RuntimeError (PEP 479): hence the list comprehension, not a generator
+    expression, in the many-inner comp."""
     if isinstance(program, Zero):
         if program.arity < 0:
             raise IllFormed((), "zero takes a nonnegative arity")
@@ -148,15 +154,21 @@ def _compile(program: Program, fuel: Iterator | None):
                 f"recursion step takes {step_arity} argument(s), "
                 f"needs {base_arity + 2}",
             )
-
-        def run(args):
-            next(fuel)
-            rest = args[1:]
-            acc = base(rest)
-            for j in range(args[0]):
+        if program.step == Comp(Succ(), (Proj(step_arity, 2),)):
+            def run(args):
                 next(fuel)
-                acc = step((j, acc) + rest)
-            return acc
+                acc = base(args[1:])
+                _spend(fuel, 2 * args[0])
+                return acc + args[0]
+        else:
+            def run(args):
+                next(fuel)
+                rest = args[1:]
+                acc = base(rest)
+                for j in range(args[0]):
+                    next(fuel)
+                    acc = step((j, acc) + rest)
+                return acc
         return run, base_arity + 1
     ((body, body_arity),) = parts
     if body_arity < 1:
@@ -169,6 +181,18 @@ def _compile(program: Program, fuel: Iterator | None):
             if body(args + (y,)) == 0:
                 return y
     return run, body_arity - 1
+
+
+def _spend(fuel: Iterator, units: int) -> None:
+    """Take `units` items of the range iterator `fuel` at once, as that many
+    next(fuel) calls would: past its end, exhaust it and raise StopIteration.
+    `__length_hint__` is exact past sys.maxsize, where `operator.length_hint`
+    overflows.  The pickled index is absolute up to 3.11 and None from 3.12
+    on, where `__setstate__` moves on from the current item."""
+    left = fuel.__length_hint__()
+    fuel.__setstate__((fuel.__reduce__()[2] or 0) + min(units, left))
+    if units > left:
+        raise StopIteration
 
 
 def _comp_mismatch(outer_arity: int, count: int) -> IllFormed:

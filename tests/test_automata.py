@@ -373,7 +373,7 @@ def test_states_off_the_simulation_build_no_tails(monkeypatch):
 
 def test_derivations_build_no_rules(monkeypatch):
     built = []
-    monkeypatch.setattr(automata, "Rule", lambda *fields: built.append(fields) or Rule(*fields))
+    monkeypatch.setattr("ruletrees.engine.Rule", lambda *fields: built.append(fields) or Rule(*fields))
     assert len(derivations_of(COMPLETE, "p", ("a",) * 3)) == 8
     clash = parse_nfa("state s0\nletter eps\ntrans s0 eps s0\nfinal s0\n")
     with pytest.raises(ValueError, match=r"^duplicate rule name eps1$"):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from math import isqrt
 from pathlib import Path
@@ -480,19 +481,99 @@ def _deep_sequent_file(levels: int) -> str:
     ids=["natded-scheme", "natded-sequent"],
 )
 def test_a_latex_run_that_fails_prints_nothing(capsys, tmp_path, argv):
-    """The preamble is not printed ahead of a failure; the RecursionError
-    itself stays until handlers run on a larger stack (ROADMAP item 3)."""
+    """The handler fails under the default recursion limit and prints nothing
+    ahead of its retry on a large stack, which prints what a direct run on a
+    still larger stack prints.  From 3.12 on, calls from C code have a limit
+    of their own that no stack raises: where the direct run fails by it, the
+    CLI's is one line on stderr and exit 1."""
     deep = tmp_path / "deep.deriv"
     deep.write_text(_deep_sequent_file(3_000))
     argv = [f"@{deep}" if arg == "@DEEP" else arg for arg in argv]
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)  # the interpreter's default
+    got, settings = _run_at_the_default_limit(capsys, argv)
+    assert settings == (1000, 0)
+    args = build_parser().parse_args(argv)
     try:
-        with pytest.raises(RecursionError):
-            run(argv)
+        code, lines = _on_a_thread(lambda: args.func(args), 2**30, 400_000)
+    except RecursionError:
+        assert sys.version_info >= (3, 12)
+        assert got == (1, "", "input nested too deeply to process\n")
+    else:
+        assert got == (code, "".join(f"{line}\n" for line in lines), "")
+        assert code == 0
+
+
+def _run_at_the_default_limit(capsys, argv):
+    """`invoke` under the interpreter's default recursion limit, and the
+    recursion limit and thread stack size just after it."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        got = invoke(capsys, *argv)
+        return got, (sys.getrecursionlimit(), threading.stack_size())
     finally:
         sys.setrecursionlimit(limit)
-    assert capsys.readouterr().out == ""
+
+
+def _on_a_thread(fn, stack_size, limit):
+    """fn() on a thread with that stack size and recursion limit: what it
+    returns, or what it raises, raised here."""
+    outcome = []
+
+    def work():
+        try:
+            outcome.append((True, fn()))
+        except Exception as err:
+            outcome.append((False, err))
+
+    old = sys.getrecursionlimit(), threading.stack_size(stack_size)
+    sys.setrecursionlimit(limit)
+    try:
+        worker = threading.Thread(target=work)
+        worker.start()
+        worker.join()
+    finally:
+        threading.stack_size(old[1])
+        sys.setrecursionlimit(old[0])
+    (returned, value), = outcome
+    if not returned:
+        raise value
+    return value
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # the `cli` bench's deep.natded op: the term reader fails at 700 levels
+        (["natded", "check", "--form", "scheme",
+          "fun [P] " + "fst(<" * 700 + "hyp [P]" + ", hyp [P]>)" * 700],
+         (0, "|- P => P\n", "")),
+        # the program reader fails at 1 000 levels, the retry at the code bound
+        (["recfun", "godel", "comp(" * 1000 + "succ" + "; succ)" * 1000],
+         (1, "", "the program's code is longer than 14284 bits\n")),
+    ],
+    ids=["natded-700", "godel-1000"],
+)
+def test_a_command_past_the_recursion_limit_reaches_its_verdict(capsys, argv, expected):
+    """Retried on a large stack, with the recursion limit and the stack size
+    for new threads restored after."""
+    assert _run_at_the_default_limit(capsys, argv) == (expected, (1000, 0))
+
+
+def test_an_ordinary_command_starts_no_thread(capsys, monkeypatch):
+    def start(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    assert invoke(capsys, "even", "member", "8", "--depth", "6") == (0, "f2(f2(f2(f2(f1))))\n", "")
+    # the patch is the one the retry would meet
+    deep = "comp(" * 1000 + "succ" + "; succ)" * 1000
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        with pytest.raises(AssertionError, match="a thread was started"):
+            run(["recfun", "godel", deep])
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @pytest.mark.parametrize("tail, stray", [(" $", "$"), (" 2P", "2")])
@@ -688,13 +769,15 @@ else:
         (["natded", "check", "--form", "scheme", SWAP_TEXT], [0, []]),
         (["recfun", "eval", "comp(succ; succ)", "3"], [0, []]),
         (["recfun", "eval", "succ", "--fuel", "0"], [2, ["argparse"]]),
+        (["nfa", "run", "PARITY", "--state", "even", "--word", "aa"], [0, []]),
     ],
-    ids=["bare-import", "even", "natded", "recfun", "usage-error"],
+    ids=["bare-import", "even", "natded", "recfun", "usage-error", "nfa-run"],
 )
-def test_a_fresh_process_imports_only_what_its_command_uses(argv, expected):
+def test_a_fresh_process_imports_only_what_its_command_uses(parity_file, argv, expected):
     """A bare `import ruletrees` loads no engine, yet resolves it on use; a
-    well-formed command imports no argparse, and natded and recfun commands
-    no engine."""
+    well-formed command imports no argparse, and natded, recfun and `nfa run`
+    commands no engine."""
+    argv = [parity_file if arg == "PARITY" else arg for arg in argv]
     result = subprocess.run(
         [sys.executable, "-c", LAZY_PROBE, *argv], capture_output=True, text=True, env=child_env()
     )

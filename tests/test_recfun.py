@@ -16,6 +16,8 @@ from ruletrees.trees import Tree, parse_name_tree, print_name_tree
 ADD_TWO = rf.Comp(rf.Succ(), (rf.Succ(),))
 # addition by recursion on the first argument
 ADD = rf.Rec(rf.Proj(1, 1), rf.Comp(rf.Succ(), (rf.Proj(3, 2),)))
+# multiplication by recursion on the first argument, adding x at each step
+MUL = rf.Rec(rf.Zero(1), rf.Comp(ADD, (rf.Proj(3, 2), rf.Proj(3, 3))))
 # search: on input x, the least y with x = 0 (so: 0 at 0, divergent elsewhere)
 SEARCH = rf.Mu(rf.Proj(2, 1))
 
@@ -120,6 +122,27 @@ def test_fuel_accounting_is_exact():
     assert rf.evaluate(SEARCH, (0,), 1) is None
     # past sys.maxsize, range(fuel) gives a long-integer iterator
     assert rf.evaluate(ADD, (2, 3), 2**70) == 5
+    # addition in closed form charges its entry even with no step to take
+    assert rf.evaluate(ADD, (0, 9), 1) == 9
+    # ... and inside another recursion, at the tree walk's exact threshold
+    budget = _RefBudget(10**6)
+    assert _tree_walk_eval(MUL, (20, 20), budget) == 400
+    spent = 10**6 - budget.remaining
+    assert rf.evaluate(MUL, (20, 20), spent) == 400
+    assert rf.evaluate(MUL, (20, 20), spent - 1) is None
+    # 2**64 steps, which no loop finishes, at two units each
+    assert rf.evaluate(ADD, (2**64, 1), 2**65 + 1) == 2**64 + 1
+    assert rf.evaluate(ADD, (2**64, 1), 2**65) is None
+
+
+@pytest.mark.parametrize("fuel", [5, 2**70])
+def test_a_failed_spend_leaves_the_fuel_exhausted(fuel):
+    """As the loop's last next(fuel) would, on short and long range iterators."""
+    it = iter(range(fuel))
+    run, _ = rf._compile(ADD, it)
+    with pytest.raises(StopIteration):
+        run((fuel, 1))
+    assert it.__length_hint__() == 0
 
 
 def test_a_450_deep_composition_chain_evaluates():
@@ -204,7 +227,36 @@ def test_fuel_threshold_matches_the_tree_walking_interpreter(seed):
     rng = random.Random(seed)
     arity = rng.randint(0, 2)
     program = generators.program(rng, arity, rng.randint(1, 3))
-    args = tuple(rng.randint(0, 4) for _ in range(arity))
+    _assert_fuel_threshold(program, tuple(rng.randint(0, 4) for _ in range(arity)))
+
+
+def _with_addition_steps(program, rng):
+    """`program` with each recursion's step, with probability 0.7, made the
+    successor of its accumulator: the step `evaluate` runs in closed form."""
+    if isinstance(program, rf.Comp):
+        inner = tuple(_with_addition_steps(g, rng) for g in program.inner)
+        return rf.Comp(_with_addition_steps(program.outer, rng), inner)
+    if isinstance(program, rf.Mu):
+        return rf.Mu(_with_addition_steps(program.body, rng))
+    if not isinstance(program, rf.Rec):
+        return program
+    base = _with_addition_steps(program.base, rng)
+    if rng.random() < 0.7:
+        return rf.Rec(base, rf.Comp(rf.Succ(), (rf.Proj(rf.arity_of(base) + 2, 2),)))
+    return rf.Rec(base, _with_addition_steps(program.step, rng))
+
+
+@given(_seeds)
+def test_fuel_threshold_matches_the_tree_walk_with_addition_steps_planted(seed):
+    rng = random.Random(seed)
+    arity = rng.randint(0, 2)
+    program = _with_addition_steps(generators.program(rng, arity, rng.randint(1, 3)), rng)
+    _assert_fuel_threshold(program, tuple(rng.randint(0, 6) for _ in range(arity)))
+
+
+def _assert_fuel_threshold(program, args):
+    """The least fuel under which the tree walk returns a value gives `evaluate`
+    that value, one unit less gives None; past a cap of 3 000, both diverge."""
     cap = 3000
     budget = _RefBudget(cap)
     try:
