@@ -193,15 +193,6 @@ def derivations_of(nfa: Nfa, state: str, word: Word) -> list[Tree]:
     return chains.get(state, [])
 
 
-def is_deterministic(nfa: Nfa) -> bool:
-    seen = set()
-    for source, letter, _ in nfa.transitions:
-        if (source, letter) in seen:
-            return False
-        seen.add((source, letter))
-    return True
-
-
 def parse_nfa(text: str) -> Nfa:
     states, alphabet, finals = set(), set(), set()
     transitions = set()
@@ -239,11 +230,3 @@ def parse_word(text: str) -> Word:
     if "," in text:
         return tuple(part for part in (p.strip() for p in text.split(",")) if part)
     return tuple(text)
-
-
-def format_word(word: Word) -> str:
-    if not word:
-        return '""'
-    if all(len(letter) == 1 for letter in word):
-        return "".join(word)
-    return ",".join(word)

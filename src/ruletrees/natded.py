@@ -683,20 +683,7 @@ def parse_sequent_deriv(text: str) -> Tree:
     return stack[0][1]
 
 
-def print_sequent_deriv(tree: Tree) -> str:
-    lines = []
-    for path, node in tree.nodes():
-        seq, tag = split_label(node.label)
-        suffix = f"  [{tag}]" if tag is not None else ""
-        lines.append("  " * len(path) + print_sequent(seq) + suffix)
-    return "\n".join(lines)
-
-
 # ----------------------------------------------------------------------- latex
-
-def prop_to_latex(prop: Prop) -> str:
-    return print_prop(prop, _LATEX)
-
 
 def sequent_to_latex(seq: Sequent) -> str:
     return print_sequent(seq, _LATEX)

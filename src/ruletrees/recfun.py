@@ -399,7 +399,7 @@ def print_program(program: Program) -> str:
     if isinstance(program, Proj):
         return f"proj^{program.arity}_{program.index}"
     if isinstance(program, Comp):
-        inner = ", ".join(print_program(g) for g in program.inner)
+        inner = ", ".join([print_program(g) for g in program.inner])
         return f"comp({print_program(program.outer)}; {inner})"
     if isinstance(program, Rec):
         return f"rec({print_program(program.base)}, {print_program(program.step)})"
@@ -482,7 +482,7 @@ def program_to_name_tree(program: Program) -> Tree:
     if not isinstance(program, (Comp, Rec, Mu)):
         raise TypeError(f"not a program: {program!r}")
     name = type(program).__name__.lower()
-    return Tree(name, tuple(map(program_to_name_tree, _subprograms(program))))
+    return Tree(name, tuple([program_to_name_tree(sub) for sub in _subprograms(program)]))
 
 
 def name_tree_to_program(tree: Tree) -> Program:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections import namedtuple
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from .errors import ParseError, Rejected
 
@@ -84,15 +84,6 @@ class Tree(record("label", "children", defaults=((),))):
             lambda node, children: Tree(labels.pop(), tuple(children)),
             enter=lambda nodes: labels.extend([fn(node.label) for node in nodes]),
         )
-
-    def nodes(self) -> Iterator[tuple[tuple[int, ...], Tree]]:
-        """Preorder traversal yielding (path, subtree), every occurrence."""
-        stack = [((), self)]
-        while stack:
-            path, node = stack.pop()
-            yield path, node
-            for i in reversed(range(len(node.children))):
-                stack.append((path + (i,), node.children[i]))
 
 
 def fold(
@@ -271,7 +262,7 @@ def print_name_tree(tree: Tree) -> str:
         tree = tree.children[0]
     names.append(f"{tree.label}")
     if tree.children:
-        names.append(", ".join(map(print_name_tree, tree.children)))
+        names.append(", ".join([print_name_tree(child) for child in tree.children]))
     return "(".join(names) + ")" * (len(names) - 1)
 
 
@@ -289,7 +280,7 @@ def tree_to_latex(tree: Tree, label_parts: Callable[[Any], tuple[str, str]]) -> 
     closers.reverse()
     if not tree.children:
         return "\\irule{" * len(closers) + "".join(closers)
-    premises = " ~~~ ".join(map(tree_to_latex, tree.children, itertools.repeat(label_parts)))
+    premises = " ~~~ ".join([tree_to_latex(child, label_parts) for child in tree.children])
     return "\\irule{" * len(closers) + premises + "".join(closers)
 
 

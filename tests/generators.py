@@ -1,4 +1,5 @@
-"""Seeded random builders shared across the property tests.
+"""Seeded random builders shared across the property tests, and the
+preorder walk that the tests use to visit every node of a tree.
 
 Each builder takes a random.Random so that hypothesis can drive the
 sampling through a single integer seed, which keeps shrinking and
@@ -14,6 +15,7 @@ from ruletrees import natded as nd
 from ruletrees import recfun as rf
 from ruletrees.automata import Nfa
 from ruletrees.engine import Rule, RuleSystem
+from ruletrees.trees import Tree
 
 DOMAIN = range(8)
 
@@ -239,3 +241,13 @@ def nfa(rng: random.Random) -> Nfa:
                     transitions.add((source, letter, target))
     finals = {state for state in states if rng.random() < 0.4}
     return Nfa(frozenset(states), frozenset(letters), frozenset(transitions), frozenset(finals))
+
+
+def preorder(tree: Tree):
+    """Yield (path, subtree) in preorder, once for every occurrence."""
+    stack = [((), tree)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        for i in reversed(range(len(node.children))):
+            stack.append((path + (i,), node.children[i]))

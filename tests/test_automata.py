@@ -17,8 +17,6 @@ from ruletrees.automata import (
     compile_nfa,
     derivations_of,
     erase,
-    format_word,
-    is_deterministic,
     parse_nfa,
     parse_word,
     recognizes,
@@ -201,17 +199,6 @@ def test_unknown_inputs():
         derivations_of(clash, "s0", ("eps",))
 
 
-def test_determinism_predicate():
-    assert is_deterministic(PARITY)
-    forked = Nfa(
-        frozenset({"s", "t"}),
-        frozenset({"a"}),
-        frozenset({("s", "a", "s"), ("s", "a", "t")}),
-        frozenset({"t"}),
-    )
-    assert not is_deterministic(forked)
-
-
 def test_ambiguous_machine_has_one_derivation_per_run():
     forked = Nfa(
         frozenset({"s", "t", "u"}),
@@ -228,10 +215,6 @@ def test_word_helpers():
     assert parse_word("") == ()
     assert parse_word("ab,cd") == ("ab", "cd")
     assert parse_word("a, b") == ("a", "b")
-    assert format_word(()) == '""'
-    assert format_word(("a", "b")) == "ab"
-    assert format_word(("ab", "cd")) == "ab,cd"
-    assert parse_word(format_word(("a", "a"))) == ("a", "a")
 
 
 # ------------------------------------------------------------------ properties
@@ -245,6 +228,12 @@ def _accepting_paths(nfa: Nfa, state: str, word) -> int:
         for source, letter, target in nfa.transitions
         if source == state and letter == word[0]
     )
+
+
+def _is_deterministic(nfa: Nfa) -> bool:
+    """No two transitions share a source and a letter."""
+    pairs = [(source, letter) for source, letter, _ in nfa.transitions]
+    return len(pairs) == len(set(pairs))
 
 
 _seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -268,7 +257,7 @@ def test_recognition_and_derivations_agree_with_path_counting(seed):
             derivations = derivations_of(machine, state, word)
             assert recognizes(machine, state, word) == (runs > 0)
             assert len(derivations) == runs
-            if is_deterministic(machine):
+            if _is_deterministic(machine):
                 assert len(derivations) <= 1
             for chain in derivations:
                 assert erase(compiled, chain) == word

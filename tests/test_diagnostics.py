@@ -308,7 +308,7 @@ def _ref_apply_named(system, name, child_elems, path):
 
 
 def ref_check_elem_tree(system, tree):
-    for path, node in tree.nodes():
+    for path, node in generators.preorder(tree):
         child_elems = tuple(c.label for c in node.children)
         if not any(
             rule.arity == len(child_elems) and rule.apply(child_elems) == node.label
@@ -321,7 +321,7 @@ def ref_check_elem_tree(system, tree):
 
 
 def ref_check_full_tree(system, tree):
-    for path, node in tree.nodes():
+    for path, node in generators.preorder(tree):
         element, name = node.label
         result = _ref_apply_named(system, name, tuple(c.label[0] for c in node.children), path)
         if result != element:
@@ -387,7 +387,7 @@ def ref_rule_matches(name, seq, premises):
 
 
 def ref_check_sequent_deriv(tree):
-    for path, node in tree.nodes():
+    for path, node in generators.preorder(tree):
         seq, name = nd.split_label(node.label)
         premises = tuple(nd.split_label(c.label)[0] for c in node.children)
         if name is not None:
@@ -1193,7 +1193,7 @@ def plant_fault(rng: random.Random, full: Tree) -> Tree:
     def over_30(node):  # a planted None counts as 0
         return len(node.children) == 1 and (node.children[0].label[0] or 0) >= 30
 
-    nodes = list(full.nodes())
+    nodes = list(generators.preorder(full))
     past_30 = [(p, n) for p, n in nodes if over_30(n)]
     run_ends = [(p, n) for p, n in nodes if len(n.children) == 1 and len(n.children[0].children) > 1]
     kind = rng.choice(("element", "unknown", "arity", "undefined", "none"))
@@ -1295,7 +1295,7 @@ def random_dag(rng: random.Random) -> Tree:
 def plant_shared_fault(rng: random.Random, full: Tree) -> Tree:
     """`full` with a node, drawn from all occurrences, replaced everywhere it
     occurs by one copy with a fault planted inside it by `plant_fault`."""
-    _, target = rng.choice(list(full.nodes()))
+    _, target = rng.choice(list(generators.preorder(full)))
     return rebuilt(full, lambda node: node.label, (target, plant_fault(rng, target)))
 
 

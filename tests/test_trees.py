@@ -19,12 +19,6 @@ def test_shape_queries():
     assert Tree("x").height() == 1
 
 
-def test_preorder_paths():
-    wide = Tree("r", (Tree("a"), Tree("b", (Tree("c"),))))
-    walk = [(path, node.label) for path, node in wide.nodes()]
-    assert walk == [((), "r"), ((0,), "a"), ((1,), "b"), ((1, 0), "c")]
-
-
 def test_map_labels_keeps_shape():
     doubled = CHAIN.map_labels(lambda name: name * 2)
     assert doubled == Tree("f2f2", (Tree("f2f2", (Tree("f1f1"),)),))
