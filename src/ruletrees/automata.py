@@ -8,7 +8,10 @@ down, spells the word the run reads.
 
 Rules for the same letter are told apart by a 1-based index, assigned
 after sorting that letter's rules by (premise, conclusion); final
-states get nullary rules eps1, eps2, ... in state-name order.
+states get nullary rules eps1, eps2, ... in state-name order.  An `Nfa`
+is built with this rule view, once, and refuses to be built when two
+rules get one name (a letter `eps` next to a final state) or a name does
+not read as one (a letter holding `(`, `)` or `,`).
 
 `recognizes` and `derivations_of` share one subset simulation.  The
 runs are then built from the rule names alone, from the last letter
@@ -45,14 +48,16 @@ class MalformedChain(Rejected):
 
 
 class Nfa(record("states", "alphabet", "transitions", "finals")):
-    """Frozensets of names, and of (source, letter, target) transitions."""
-
-    __slots__ = ()
+    """Frozensets of names, and of (source, letter, target) transitions,
+    with the rule view built as `RuleSystem` builds its index: `_edges` and
+    `_final_rules` as in `CompiledRules`, and `_steps` mapping each letter
+    to its `_edges` in name order."""
 
     def __new__(cls, states, alphabet, transitions, finals):
         for state in finals:
             if state not in states:
                 raise ValueError(f"final state {state} is not declared")
+        by_letter = {}
         for source, letter, target in transitions:
             if source not in states:
                 raise ValueError(f"transition source {source} is not declared")
@@ -60,11 +65,36 @@ class Nfa(record("states", "alphabet", "transitions", "finals")):
                 raise ValueError(f"transition target {target} is not declared")
             if letter not in alphabet:
                 raise ValueError(f"transition letter {letter} is not declared")
-        return super().__new__(cls, states, alphabet, transitions, finals)
+            by_letter.setdefault(letter, []).append((target, source))
+        edges = tuple(
+            (f"{letter}{k}", letter, premise, conclusion)
+            for letter in sorted(by_letter)
+            for k, (premise, conclusion) in enumerate(sorted(by_letter[letter]), start=1)
+        )
+        final_rules = tuple((f"eps{j}", state) for j, state in enumerate(sorted(finals), start=1))
+        # what `Rule`, then `RuleSystem`, would raise on these names, in order;
+        # no name is empty, so the names are valid when their join is
+        names = [rule[0] for rule in edges + final_rules]
+        if names and not NAME_RE.fullmatch("".join(names)):
+            bad = next(name for name in names if not NAME_RE.fullmatch(name))
+            raise ValueError(f"invalid rule name {bad!r}")
+        if len(set(names)) < len(names):
+            again = next(name for i, name in enumerate(names) if name in names[:i])
+            raise ValueError(f"duplicate rule name {again}")
+        steps = {}
+        for edge in sorted(edges):
+            steps.setdefault(edge[1], []).append(edge)
+        self = super().__new__(cls, states, alphabet, transitions, finals)
+        # a tuple subclass cannot have nonempty slots: the view goes in __dict__
+        self.__dict__.update(_edges=edges, _final_rules=final_rules, _steps=steps)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 class CompiledRules(record("system", "edges", "finals", "erasure")):
-    """The rule-system view of an automaton.
+    """An automaton's rules as a `RuleSystem`.
 
     `edges` lists the letter rules as (name, letter, premise, conclusion);
     `finals` lists the nullary rules as (name, state); `erasure` maps
@@ -75,45 +105,17 @@ class CompiledRules(record("system", "edges", "finals", "erasure")):
     __slots__ = ()
 
 
-def _by_letter(nfa: Nfa) -> dict[str, list]:
-    """Each letter's transitions as (target, source): its rules' premises
-    and conclusions."""
-    by_letter = {}
-    for source, letter, target in nfa.transitions:
-        by_letter.setdefault(letter, []).append((target, source))
-    return by_letter
-
-
-def _named(nfa: Nfa, by_letter: dict[str, list]) -> tuple[dict, list]:
-    """The names of the rules: each letter's rules as (name, letter,
-    premise, conclusion), the letters in sorted order, and the final rules
-    as (name, state)."""
-    edges = {letter: [] for letter in sorted(by_letter)}
-    for letter, rules in edges.items():
-        for k, (premise, conclusion) in enumerate(sorted(by_letter[letter]), start=1):
-            rules.append((f"{letter}{k}", letter, premise, conclusion))
-    finals = [(f"eps{j}", state) for j, state in enumerate(sorted(nfa.finals), start=1)]
-    return edges, finals
-
-
 def compile_nfa(nfa: Nfa) -> CompiledRules:
     from .engine import Rule, RuleSystem  # only here, so `nfa run` loads no engine
 
-    named, finals = _named(nfa, _by_letter(nfa))
-    edges = [edge for rules in named.values() for edge in rules]
     rules = [
         Rule(name, 1, lambda x, p=premise, c=conclusion: c if x == p else None)
-        for name, _, premise, conclusion in edges
+        for name, _, premise, conclusion in nfa._edges
     ]
-    rules += [Rule(name, 0, lambda s=state: s) for name, state in finals]
-    erasure = {name: letter for name, letter, _, _ in edges}
-    erasure.update({name: "" for name, _ in finals})
-    return CompiledRules(
-        system=RuleSystem(tuple(rules)),
-        edges=tuple(edges),
-        finals=tuple(finals),
-        erasure=erasure,
-    )
+    rules += [Rule(name, 0, lambda s=state: s) for name, state in nfa._final_rules]
+    erasure = {name: letter for name, letter, _, _ in nfa._edges}
+    erasure.update({name: "" for name, _ in nfa._final_rules})
+    return CompiledRules(RuleSystem(tuple(rules)), nfa._edges, nfa._final_rules, erasure)
 
 
 def erase(compiled: CompiledRules, tree: Tree) -> Word:
@@ -138,54 +140,39 @@ def erase(compiled: CompiledRules, tree: Tree) -> Word:
         node = node.children[0]
 
 
-def _reach(nfa: Nfa, state: str, word: Word, by_letter: dict[str, list]) -> list[set[str]]:
-    """The subset simulation from `state` over `word`, given the
-    transitions grouped by letter: `reach[i]` is the set of states it is
-    in after `i` letters."""
+def _reach(nfa: Nfa, state: str, word: Word) -> list[set[str]]:
+    """The subset simulation from `state` over `word`: `reach[i]` is the
+    set of states it is in after `i` letters."""
     if state not in nfa.states:
         raise UnknownState(f"unknown state {state}")
     reach = [{state}]
     for letter in word:
         if letter not in nfa.alphabet:
             raise UnknownLetter(f"unknown letter {letter}")
-        reach.append({t for t, s in by_letter.get(letter, ()) if s in reach[-1]})
+        rules = nfa._steps.get(letter, ())
+        reach.append({premise for _, _, premise, conclusion in rules if conclusion in reach[-1]})
     return reach
 
 
 def recognizes(nfa: Nfa, state: str, word: Word) -> bool:
     """Standard subset-simulation run from `state` over `word`."""
-    return bool(_reach(nfa, state, word, _by_letter(nfa))[-1] & nfa.finals)
-
-
-def _check_names(names: list[str]) -> None:
-    """Raise what `Rule` and `RuleSystem` would on these names, in order."""
-    # every name ends in a digit, so the names are valid when their join is
-    if names and not NAME_RE.fullmatch("".join(names)):
-        bad = next(name for name in names if not NAME_RE.fullmatch(name))
-        raise ValueError(f"invalid rule name {bad!r}")
-    if len(set(names)) < len(names):
-        again = next(name for i, name in enumerate(names) if name in names[:i])
-        raise ValueError(f"duplicate rule name {again}")
+    return bool(_reach(nfa, state, word)[-1] & nfa.finals)
 
 
 def derivations_of(nfa: Nfa, state: str, word: Word) -> list[Tree]:
     """All name-labeled derivation chains concluding `state` and spelling
     `word`, sorted by their linear form, built from the rule names alone."""
-    word, by_letter = tuple(word), _by_letter(nfa)
-    reach = _reach(nfa, state, word, by_letter)
-    edges, finals = _named(nfa, by_letter)
-    names = [edge[0] for rules in edges.values() for edge in rules]
-    _check_names(names + [name for name, _ in finals])
+    word = tuple(word)
+    reach = _reach(nfa, state, word)
     # chains[s] lists the runs from s over the rest of the word.  Skipping
     # the states `state` is not in after i letters spares tails that could
     # be exponentially many and are never used.  The rules extending one
     # state spell one letter, so their names differ only in the index, and
     # "(" sorts below every digit: walking them by name keeps linear-form order.
-    steps = {letter: sorted(rules) for letter, rules in edges.items()}
-    chains = {final: [Tree(name)] for name, final in finals}
+    chains = {final: [Tree(name)] for name, final in nfa._final_rules}
     for letter, states in zip(reversed(word), reversed(reach[:-1])):
         step = {}
-        for name, _, premise, conclusion in steps.get(letter, ()):
+        for name, _, premise, conclusion in nfa._steps.get(letter, ()):
             if conclusion in states and premise in chains:
                 runs = step.setdefault(conclusion, [])
                 runs.extend(tuple.__new__(Tree, (name, (t,))) for t in chains[premise])
@@ -224,7 +211,9 @@ def parse_nfa(text: str) -> Nfa:
 
 
 def parse_word(text: str) -> Word:
-    """Split a word argument: on commas when present, else per character."""
+    """Split a word argument: on commas when present, else per character.
+    A comma always separates letters: `Nfa` refuses a letter holding one
+    that a transition reads, since its rules' names would not read."""
     if not text:
         return ()
     if "," in text:

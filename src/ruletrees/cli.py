@@ -14,9 +14,9 @@ Each outcome prints one message on one stream and exits with one code:
       inner programs (`recfun godel`, `recfun ungodel`)
     input nested too deeply to process: RecursionError     stderr  1
       on the retry, past about MAX_DEPTH levels
-    syntax error: ..., usage, @FILE or file errors,        stderr  2
-      unknown state or letter, duplicate or invalid rule name,
-      eval arity, diagonal oracle
+    syntax error: ..., an automaton's duplicate or invalid stderr  2
+      rule name; usage, @FILE or file errors, unknown
+      state or letter, eval arity, diagonal oracle
 
 `run` decides every outcome.  A handler returns its exit code and its
 stdout lines and prints nothing, so nothing reaches stdout before a

@@ -103,7 +103,10 @@ def _compile(program: Program, fuel: Iterator | None):
     with next(fuel), and addition's recursion in closed form with `_spend`, so
     none may ever run inside a generator frame, which would turn StopIteration
     into RuntimeError (PEP 479): hence the list comprehension, not a generator
-    expression, in the many-inner comp."""
+    expression, in the many-inner comp.  The one-inner comp keeps a closure of
+    its own: on 3.10 and 3.11 a list comprehension takes a frame, and without
+    it a chain of one-inner comps runs out of stack at the default recursion
+    limit near 500 levels instead of 1 000."""
     if isinstance(program, Zero):
         if program.arity < 0:
             raise IllFormed((), "zero takes a nonnegative arity")

@@ -278,8 +278,6 @@ def tree_to_latex(tree: Tree, label_parts: Callable[[Any], tuple[str, str]]) -> 
         tree = tree.children[0]
         closers.append("}{%s}{%s}" % label_parts(tree.label))
     closers.reverse()
-    if not tree.children:
-        return "\\irule{" * len(closers) + "".join(closers)
     premises = " ~~~ ".join([tree_to_latex(child, label_parts) for child in tree.children])
     return "\\irule{" * len(closers) + premises + "".join(closers)
 

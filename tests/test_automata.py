@@ -189,14 +189,28 @@ def test_unknown_inputs():
         recognizes(PARITY, "even", ("z",))
     with pytest.raises(UnknownState):
         derivations_of(PARITY, "limbo", ())
-    # a letter named eps makes a rule eps1, as does the final state
-    clash = parse_nfa("state s0\nletter eps\ntrans s0 eps s0\nfinal s0\n")
     with pytest.raises(UnknownState, match=r"^unknown state limbo$"):
-        derivations_of(clash, "limbo", ("z",))
+        derivations_of(PARITY, "limbo", ("z",))
     with pytest.raises(UnknownLetter, match=r"^unknown letter z$"):
-        derivations_of(clash, "s0", ("eps", "z", "y"))
-    with pytest.raises(ValueError, match=r"^duplicate rule name eps1$"):
-        derivations_of(clash, "s0", ("eps",))
+        derivations_of(PARITY, "odd", ("a", "z", "y"))
+
+
+@pytest.mark.parametrize(
+    "letter, finals, message",
+    [
+        ("eps", {"s0"}, r"^duplicate rule name eps1$"),
+        ("(", set(), r"^invalid rule name '\(1'$"),
+        ("x,y", set(), r"^invalid rule name 'x,y1'$"),
+        ("b)", {"s0"}, r"^invalid rule name 'b\)1'$"),
+        ("a b", set(), r"^invalid rule name 'a b1'$"),
+    ],
+)
+def test_an_automaton_whose_rules_cannot_be_named_is_refused(letter, finals, message):
+    parts = frozenset({"s0"}), frozenset({letter}), frozenset({("s0", letter, "s0")})
+    with pytest.raises(ValueError, match=message):
+        Nfa(*parts, frozenset(finals))
+    # a letter that no transition reads makes no rule
+    assert Nfa(parts[0], parts[1], frozenset(), frozenset(finals)).alphabet == {letter}
 
 
 def test_ambiguous_machine_has_one_derivation_per_run():
@@ -364,21 +378,36 @@ def test_derivations_build_no_rules(monkeypatch):
     built = []
     monkeypatch.setattr("ruletrees.engine.Rule", lambda *fields: built.append(fields) or Rule(*fields))
     assert len(derivations_of(COMPLETE, "p", ("a",) * 3)) == 8
-    clash = parse_nfa("state s0\nletter eps\ntrans s0 eps s0\nfinal s0\n")
-    with pytest.raises(ValueError, match=r"^duplicate rule name eps1$"):
-        derivations_of(clash, "s0", ("eps",))
-    paren = parse_nfa("state s0\nletter (\ntrans s0 ( s0\nfinal s0\n")
-    with pytest.raises(ValueError, match=r"^invalid rule name '\(1'$"):
-        derivations_of(paren, "s0", ("(",))
+    # reading an automaton checks its rule names without building a rule;
+    # a letter named eps makes a rule eps1, as does the final state
+    with pytest.raises(ParseError, match=r"^duplicate rule name eps1 \(at position 0\)$"):
+        parse_nfa("state s0\nletter eps\ntrans s0 eps s0\nfinal s0\n")
+    with pytest.raises(ParseError, match=r"^invalid rule name '\(1' \(at position 0\)$"):
+        parse_nfa("state s0\nletter (\ntrans s0 ( s0\nfinal s0\n")
     assert built == []
     compile_nfa(COMPLETE)  # the counting Rule is the one compiling calls
     assert len(built) == 6
 
 
+def compiled_rule_names(alphabet, transitions, finals) -> tuple[list, list]:
+    """The earlier naming, compiled to the whole rule system so that `Rule`
+    and `RuleSystem` check the names: the letter rules as (name, letter,
+    premise, conclusion) and the final rules as (name, state)."""
+    edges = []
+    for letter in sorted(alphabet):
+        letter_edges = sorted((t, s) for s, lt, t in transitions if lt == letter)
+        for k, (premise, conclusion) in enumerate(letter_edges, start=1):
+            edges.append((f"{letter}{k}", letter, premise, conclusion))
+    finals = [(f"eps{j}", final) for j, final in enumerate(sorted(finals), start=1)]
+    rules = [Rule(name, 1, lambda x: x) for name, _, _, _ in edges]
+    RuleSystem(tuple(rules + [Rule(name, 0, lambda: s) for name, s in finals]))
+    return edges, finals
+
+
 def compiled_derivations_of(nfa: Nfa, state: str, word) -> list[Tree]:
     """The earlier version: the subset simulation scanning every transition
-    per letter, then the whole rule system compiled for the rule names, then
-    the walk from the last letter back over every rule for each letter."""
+    per letter, then the rule names compiled, then the walk from the last
+    letter back over every rule for each letter."""
     word = tuple(word)
     if state not in nfa.states:
         raise UnknownState(f"unknown state {state}")
@@ -387,14 +416,7 @@ def compiled_derivations_of(nfa: Nfa, state: str, word) -> list[Tree]:
         if letter not in nfa.alphabet:
             raise UnknownLetter(f"unknown letter {letter}")
         reach.append({t for s, lt, t in nfa.transitions if lt == letter and s in reach[-1]})
-    edges = []
-    for letter in sorted(nfa.alphabet):
-        letter_edges = sorted((t, s) for s, lt, t in nfa.transitions if lt == letter)
-        for k, (premise, conclusion) in enumerate(letter_edges, start=1):
-            edges.append((f"{letter}{k}", letter, premise, conclusion))
-    finals = [(f"eps{j}", final) for j, final in enumerate(sorted(nfa.finals), start=1)]
-    rules = [Rule(name, 1, lambda x: x) for name, _, _, _ in edges]
-    RuleSystem(tuple(rules + [Rule(name, 0, lambda: s) for name, s in finals]))
+    edges, finals = compiled_rule_names(nfa.alphabet, nfa.transitions, nfa.finals)
     chains = {final: [Tree(name)] for name, final in finals}
     for letter, states in zip(reversed(word), reversed(reach[:-1])):
         step = {}
@@ -405,10 +427,11 @@ def compiled_derivations_of(nfa: Nfa, state: str, word) -> list[Tree]:
     return chains.get(state, [])
 
 
-def clashing_nfa(rng: random.Random) -> Nfa:
-    """Up to four states over letters that may make colliding rule names
-    (`eps` beside a final state; `a1` beside 11 or more `a` transitions) or
-    no rule name at all (`(`, `x,y`, `b)`)."""
+def clashing_nfa(rng: random.Random) -> tuple:
+    """The four fields of an automaton with up to four states, over letters
+    that may make colliding rule names (`eps` beside a final state; `a1`
+    beside 11 or more `a` transitions) or no rule name at all (`(`, `x,y`,
+    `b)`)."""
     states = ("s0", "s1", "s2", "s3")[: rng.randint(1, 4)]
     letters = ["a"] + rng.sample(("a1", "eps", "b"), rng.randint(0, 3))
     if rng.random() < 0.25:
@@ -420,7 +443,7 @@ def clashing_nfa(rng: random.Random) -> Nfa:
         for source, target in rng.sample(pairs, rng.randint(0, len(pairs)))
     }
     finals = frozenset(state for state in states if rng.random() < 0.5)
-    return Nfa(frozenset(states), frozenset(letters), frozenset(transitions), finals)
+    return frozenset(states), frozenset(letters), frozenset(transitions), finals
 
 
 def _outcome(fn, *args):
@@ -433,7 +456,16 @@ def _outcome(fn, *args):
 @given(_seeds)
 def test_derivations_match_the_compiling_walk(seed):
     rng = random.Random(seed)
-    machine = clashing_nfa(rng)
+    fields = clashing_nfa(rng)
+    try:
+        compiled_rule_names(*fields[1:])
+    except ValueError as err:
+        # an automaton whose rules cannot be named is refused when built
+        with pytest.raises(ValueError) as refused:
+            Nfa(*fields)
+        assert (type(refused.value), str(refused.value)) == (ValueError, str(err))
+        return
+    machine = Nfa(*fields)
     letters = sorted(machine.alphabet)
     for state in sorted(machine.states) + ["limbo"]:
         for word in (rng.choices(letters, k=rng.randint(0, 4)) for _ in range(4)):

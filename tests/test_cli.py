@@ -384,37 +384,35 @@ A11_TEXT = (
 
 
 @pytest.mark.parametrize(
-    "text, word, name",
-    [(EPS_LETTER_TEXT, "eps,", "eps1"), (A11_TEXT, "a1,", "a11")],
-    ids=["eps-letter", "a-and-a1"],
+    "text, word, message",
+    [
+        (EPS_LETTER_TEXT, "eps,", "duplicate rule name eps1"),
+        (A11_TEXT, "a1,", "duplicate rule name a11"),
+        # "(" is a letter of the file format, but "(1" reads as no rule name
+        (
+            "state s0\nletter (\nletter a\ntrans s0 ( s0\ntrans s0 a s0\nfinal s0\n",
+            "(",
+            "invalid rule name '(1'",
+        ),
+        # no --word could spell this letter: a comma separates letters
+        ("state s0\nletter x,y\ntrans s0 x,y s0\nfinal s0\n", "x,y", "invalid rule name 'x,y1'"),
+    ],
+    ids=["eps-letter", "a-and-a1", "paren", "comma"],
 )
-def test_colliding_rule_names_stop_compiling_but_not_running(capsys, tmp_path, text, word, name):
-    path = tmp_path / "clash.nfa"
+def test_an_automaton_whose_rules_cannot_be_named_stops_every_command(
+    capsys, tmp_path, text, word, message
+):
+    path = tmp_path / "unnamed.nfa"
     path.write_text(text)
     for argv in (
-        ["nfa", "rules", str(path)],
+        ["nfa", "run", str(path), "--state", "s0", "--word", word],
+        ["nfa", "run", str(path), "--state", "s0", "--word", ""],
         ["nfa", "derivations", str(path), "--state", "s0", "--word", word],
-        ["infer", "--system", str(path), "eps1"],
-    ):
-        assert invoke(capsys, *argv) == (2, "", f"duplicate rule name {name}\n")
-    code, out, _ = invoke(capsys, "nfa", "run", str(path), "--state", "s0", "--word", word)
-    assert (code, out) == (0, "recognized\n")
-
-
-def test_a_letter_that_makes_no_rule_name_stops_compiling_but_not_running(capsys, tmp_path):
-    # "(" is a letter of the file format, but "(1" reads as no rule name
-    path = tmp_path / "paren.nfa"
-    path.write_text("state s0\nletter (\nletter a\ntrans s0 ( s0\ntrans s0 a s0\nfinal s0\n")
-    for argv in (
+        ["nfa", "derivations", str(path), "--state", "s0", "--word", "", "--latex"],
         ["nfa", "rules", str(path)],
-        ["nfa", "derivations", str(path), "--state", "s0", "--word", "a"],
-        ["nfa", "derivations", str(path), "--state", "s0", "--word", "("],
         ["infer", "--system", str(path), "eps1"],
     ):
-        assert invoke(capsys, *argv) == (2, "", "invalid rule name '(1'\n")
-    for word in ("(", "a(a"):
-        code, out, _ = invoke(capsys, "nfa", "run", str(path), "--state", "s0", "--word", word)
-        assert (code, out) == (0, "recognized\n")
+        assert invoke(capsys, *argv) == (2, "", f"syntax error: {message} (at position 0)\n")
 
 
 def test_nfa_rules_of_an_automaton_without_rules_print_nothing(capsys, tmp_path):

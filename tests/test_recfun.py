@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 import time
 from math import isqrt
 
@@ -299,6 +300,20 @@ def test_evaluation_matches_a_straight_loop_interpreter(seed):
         expected = _loop_eval(program, args)
         got = rf.evaluate(program, args, 10**6)
         assert got == expected
+
+
+def test_a_700_level_chain_of_one_inner_compositions_runs_at_the_default_limit():
+    # one frame per level: a list comprehension over the one inner program
+    # would take a second frame (3.10, 3.11) and stop near 500 levels
+    program = rf.Succ()
+    for _ in range(700):
+        program = rf.Comp(rf.Succ(), (program,))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        assert rf.evaluate(program, (0,), 1_000) == 701
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # ------------------------------------------------------------------- diagonal

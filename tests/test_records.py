@@ -64,8 +64,10 @@ def test_equal_records_are_equal_and_hash_alike():
         (Rule("s", 1, abs), "fn"),
         (Succ(), "arity"),
         (RuleSystem((Rule("z", 0, lambda: 0),)), "rules"),
+        (Nfa(frozenset({"s"}), frozenset(), frozenset(), frozenset()), "finals"),
+        (Nfa(frozenset({"s"}), frozenset(), frozenset(), frozenset()), "_steps"),
     ],
-    ids=["atom", "tree", "rule", "succ", "rule-system"],
+    ids=["atom", "tree", "rule", "succ", "rule-system", "nfa", "nfa-rule-view"],
 )
 def test_assigning_an_attribute_raises(record, field):
     with pytest.raises(AttributeError):
