@@ -405,27 +405,16 @@ def _on_a_large_stack(handler, args) -> tuple[int, list[str]]:
     did.  Both settings are the process's, so both are restored before it
     returns: `run` is also called in process."""
     import threading
-
-    outcome = []
-
-    def work():
-        try:
-            outcome.append(handler(args))
-        except BaseException as err:  # re-raised on the calling thread
-            outcome.append(err)
+    from concurrent.futures import ThreadPoolExecutor
 
     limit, size = sys.getrecursionlimit(), threading.stack_size(512 * 2**20)
     sys.setrecursionlimit(20 * MAX_DEPTH)
     try:
-        worker = threading.Thread(target=work)
-        worker.start()
-        worker.join()
+        with ThreadPoolExecutor(1) as pool:
+            return pool.submit(handler, args).result()
     finally:
         threading.stack_size(size)
         sys.setrecursionlimit(limit)
-    if isinstance(outcome[0], BaseException):
-        raise outcome[0]
-    return outcome[0]
 
 
 def main():

@@ -102,11 +102,11 @@ def _compile(program: Program, fuel: Iterator | None):
     iterator (None in `arity_of`, which runs no closure).  The closures charge
     with next(fuel), and addition's recursion in closed form with `_spend`, so
     none may ever run inside a generator frame, which would turn StopIteration
-    into RuntimeError (PEP 479): hence the list comprehension, not a generator
-    expression, in the many-inner comp.  The one-inner comp keeps a closure of
-    its own: on 3.10 and 3.11 a list comprehension takes a frame, and without
-    it a chain of one-inner comps runs out of stack at the default recursion
-    limit near 500 levels instead of 1 000."""
+    into RuntimeError (PEP 479).  Hence comp runs its inner programs in a plain
+    loop: a generator expression would be such a frame, and a list
+    comprehension takes a frame of its own on 3.10 and 3.11, where a chain of
+    comps would run out of stack at the default recursion limit near 500
+    levels instead of 1 000."""
     if isinstance(program, Zero):
         if program.arity < 0:
             raise IllFormed((), "zero takes a nonnegative arity")
@@ -139,15 +139,12 @@ def _compile(program: Program, fuel: Iterator | None):
             raise IllFormed((), "inner programs disagree on arity")
         if outer_arity != len(program.inner):
             raise _comp_mismatch(outer_arity, len(program.inner))
-        if len(inners) == 1:
-            (g,) = inners
-            def run(args):
-                next(fuel)
-                return outer((g(args),))
-        else:
-            def run(args):
-                next(fuel)
-                return outer(tuple([g(args) for g in inners]))
+        def run(args):
+            next(fuel)
+            values = []
+            for g in inners:
+                values.append(g(args))
+            return outer(tuple(values))
         return run, arities[0]
     if isinstance(program, Rec):
         (base, base_arity), (step, step_arity) = parts

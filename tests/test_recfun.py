@@ -302,16 +302,25 @@ def test_evaluation_matches_a_straight_loop_interpreter(seed):
         assert got == expected
 
 
-def test_a_700_level_chain_of_one_inner_compositions_runs_at_the_default_limit():
-    # one frame per level: a list comprehension over the one inner program
-    # would take a second frame (3.10, 3.11) and stop near 500 levels
+@pytest.mark.parametrize(
+    "wrap, value",
+    [
+        (lambda p: rf.Comp(rf.Succ(), (p,)), 701),
+        (lambda p: rf.Comp(rf.Proj(2, 1), (p, rf.Proj(1, 1))), 1),
+    ],
+    ids=["one-inner", "two-inner"],
+)
+def test_a_700_level_chain_of_compositions_runs_at_the_default_limit(wrap, value):
+    # one frame per level: comp runs its inner programs in a plain loop, where
+    # a list comprehension would take a second frame (3.10, 3.11) and stop
+    # near 500 levels
     program = rf.Succ()
     for _ in range(700):
-        program = rf.Comp(rf.Succ(), (program,))
+        program = wrap(program)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # the interpreter's default
     try:
-        assert rf.evaluate(program, (0,), 1_000) == 701
+        assert rf.evaluate(program, (0,), 1_000) == value
     finally:
         sys.setrecursionlimit(limit)
 
