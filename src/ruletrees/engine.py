@@ -6,6 +6,10 @@ finite sets: apply every rule to every tuple drawn from the set and
 collect the defined results.  Iterating that operator from the empty
 set builds the closure in layers, and every element that ever appears
 is justified by a derivation tree whose nodes are rule applications.
+`iterate` and `member` compute the layers in one loop with a budget of
+layers; `member` stops after the layer that reaches its element, or
+inside it at the end of a binary rule's row when the layer cannot pass
+the size bound.
 
 Elements are ordinary Python values; they must support equality and
 hashing.  Argument tuples follow the order of the elements' renderings
@@ -119,13 +123,15 @@ def _layer_tries(rules, n: int, f: int) -> int:
     return sum(n**rule.arity - (n - f) ** rule.arity for rule in rules)
 
 
-def _layers(system: RuleSystem, known: dict, max_size: int, limit_message: str, target=None):
-    """The closure layers, computed semi-naively, until a fixed point.
+def _layers(system: RuleSystem, known: dict, max_size: int, message: str, limit: int, target=None):
+    """Run the closure layers, computed semi-naively, and return how many ran.
 
+    Runs up to `limit` (at least 1) non-empty layers, or fewer if a layer
+    adds nothing (a fixed point) or `target` is known once a layer ends.
     Records in `known`, for each element reached, the first rule
     application reaching it as `known[element] = (rule, args)`: rules in
     system order, argument tuples in the order of the full product over
-    the render-sorted pool.  Each yielded layer lists its new elements in
+    the render-sorted pool.  Each layer lists its new elements in
     discovery order.  Layer 0 applies the nullary rules, the only layer
     that does.  A tuple made only of elements older than the previous
     layer yields an element found already, so a later layer tries only
@@ -140,14 +146,16 @@ def _layers(system: RuleSystem, known: dict, max_size: int, limit_message: str, 
       if not.
 
     Only rules of arity 2 or more read the pool, so it is kept only for
-    systems that have one.  Raises ResourceLimit(limit_message) once
+    systems that have one.  Raises ResourceLimit(message) once
     more than `max_size` elements are known.
 
-    Given a `target`, it returns, without yielding the layer that reaches
-    it, at the end of the first binary rule's row (a pool element and all
-    its partners) that ends after the target's first application, if the
+    Given a `target`, there are two stops.  A layer after which `target`
+    is known is the last.  The layer reaching it also stops early, at
+    the end of the first binary rule's row (a pool element and all its
+    partners) that ends after the target's first application, if the
     layer cannot pass `max_size` (it adds at most `_layer_tries`
-    elements); if it can, the layer runs on and raises as without a target.
+    elements); if it can, that stop is off and the layer runs to its end
+    and raises as without a target.  A layer stopped in counts as run.
     """
     wide = any(rule.arity >= 2 for rule in system.rules)
     rules = [(rule, rule.fn, rule.arity) for rule in system.rules if rule.arity]
@@ -155,19 +163,23 @@ def _layers(system: RuleSystem, known: dict, max_size: int, limit_message: str, 
     pool: list = []
     fresh_set: set = set()
     layer: list = []
+    row_stop = target  # None once the layer reaching `target` could pass max_size
 
     def found(result, rule, args):  # a new element, reached by rule(*args)
         known[result] = (rule, args)
         if len(known) > max_size:
-            raise ResourceLimit(limit_message)
+            raise ResourceLimit(message)
         layer.append(result)
 
     for rule in system.rules:
         result = rule.fn() if rule.arity == 0 else None
         if result is not None and result not in known:
             found(result, rule, ())
+    count = 0
     while layer:
-        yield layer
+        count += 1
+        if count == limit or target in known:
+            return count
         fresh = layer
         if len(layer) > 1 or wide:  # skipped by `even`: one element a layer, no pool
             # by rendering alone: the stable sort keeps ties in discovery order
@@ -185,7 +197,7 @@ def _layers(system: RuleSystem, known: dict, max_size: int, limit_message: str, 
                     if result is not None and result not in known:
                         known[result] = (rule, (a,))
                         if len(known) > max_size:
-                            raise ResourceLimit(limit_message)
+                            raise ResourceLimit(message)
                         layer.append(result)
             elif arity == 2:
                 for a in pool:
@@ -193,11 +205,11 @@ def _layers(system: RuleSystem, known: dict, max_size: int, limit_message: str, 
                         result = fn(a, b)
                         if result is not None and result not in known:
                             found(result, rule, (a, b))
-                    if target in known:
+                    if row_stop in known:
                         n = len(pool)
                         if n + _layer_tries(system.rules, n, len(fresh)) <= max_size:
-                            return
-                        target = None
+                            return count + 1
+                        row_stop = None
             else:
                 tuples = itertools.chain.from_iterable(
                     itertools.product(
@@ -209,6 +221,7 @@ def _layers(system: RuleSystem, known: dict, max_size: int, limit_message: str, 
                     result = fn(*args)
                     if result is not None and result not in known:
                         found(result, rule, args)
+    return count
 
 
 def iterate(
@@ -219,16 +232,17 @@ def iterate(
 ) -> tuple[frozenset, int | None]:
     """Apply `step` to the empty set `steps` times.
 
-    The layers come from `_layers`, which gives the same sets as the
-    fold of `step` while trying each argument tuple only once.  Returns
-    the resulting set together with the first index at which a fixed
-    point was reached, or None if the chain was still growing.
+    `_layers` runs the first `steps` layers in one loop, which gives the
+    same sets as the fold of `step` while trying each argument tuple only
+    once; with `steps` 0 no rule is applied.  Returns the resulting set
+    together with the first index at which a fixed point was reached, or
+    None if the chain was still growing.
     """
     if steps < 0:
         raise ValueError("step count must be nonnegative")
     known: dict = {}
-    layers = _layers(system, known, max_size, f"step produced more than {max_size} elements")
-    count = sum(1 for _ in itertools.islice(layers, steps))
+    message = f"step produced more than {max_size} elements"
+    count = steps and _layers(system, known, max_size, message, steps)
     return frozenset(known), (count if count < steps else None)
 
 
@@ -246,17 +260,15 @@ def member(
     and then to the first argument tuple in rendering order.  Returns
     None when the element is not derivable within `depth` layers.
 
-    The search stops soon after the first application reaching `element`
-    (see `_layers`) and raises ResourceLimit exactly as a whole-layer
-    search does; a rule raising on a later tuple breaks the `fn` contract.
+    `_layers` runs at most `depth` layers and stops soon after the first
+    application reaching `element` (its two stops), raising
+    ResourceLimit exactly as a whole-layer search does; a rule raising on
+    a later tuple breaks the `fn` contract.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     known: dict = {}
-    layers = _layers(system, known, max_size, f"more than {max_size} derivable elements", element)
-    for _ in itertools.islice(layers, depth):
-        if element in known:
-            break
+    _layers(system, known, max_size, f"more than {max_size} derivable elements", depth, element)
     if element not in known:
         return None
     # the witness's elements, built in discovery order: arguments come first
@@ -268,10 +280,12 @@ def member(
             needed[e] = application = known[e]
             stack.extend(application[1])
     trees: dict = {}
-    new, cls = Tree.__new__, Tree  # a patched `Tree` still has its `__new__` called
+    # a patched `Tree` still has its `__new__` called
+    get, new, cls = trees.__getitem__, Tree.__new__, Tree
     for e in filter(needed.__contains__, known):
         rule, args = needed[e]
-        trees[e] = new(cls, (e, rule.name), tuple(map(trees.__getitem__, args)))
+        children = (get(args[0]),) if len(args) == 1 else tuple(map(get, args))
+        trees[e] = new(cls, (e, rule.name), children)
     return trees[element]
 
 

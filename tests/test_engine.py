@@ -660,7 +660,17 @@ def test_member_builds_only_its_witness(monkeypatch):
             Rule("s2", 1, lambda a: a + 2 if a + 2 < 50 else None),
         )
     )
-    for system, target in ((adder, 8), (adder, 150), (stepper, 10), (stepper, 49)):
+    # a ternary rule next to a unary one: 10 is t(one, one, 8) and 8 is
+    # t(s(one), 3, 3), where 3 is t(one, one, one)
+    tripler = RuleSystem(
+        (
+            Rule("one", 0, lambda: 1),
+            Rule("s", 1, lambda a: a + 1 if a < 3 else None),
+            Rule("t", 3, lambda a, b, c: a + b + c if a + b + c <= 20 else None),
+        )
+    )
+    cases = ((adder, 8), (adder, 150), (adder, 1), (stepper, 10), (stepper, 49), (tripler, 10))
+    for system, target in cases:
         built.clear()
         witness = member(system, target, 30)
         nodes, stack = {}, [witness]
@@ -678,10 +688,32 @@ def test_member_builds_only_its_witness(monkeypatch):
         if system is stepper:  # built leaf first: z, s2 up to the even part, s1 to an odd target
             chain = [(0, "z")] + [(k, "s2") for k in range(2, target + 1, 2)]
             assert built == chain + [(target, "s1")] * (target % 2)
+        if target == 1:  # concluded by a nullary rule in layer 0: one node
+            assert built == [(1, "one")]
+        if system is tripler:
+            assert built == [(1, "one"), (2, "s"), (3, "t"), (8, "t"), (10, "t")]
+            eight = witness.children[2]
+            assert witness.children[0] is witness.children[1] is eight.children[0].children[0]
+            assert eight.children[1] is eight.children[2]
     built.clear()
     assert member(adder, 151, 12) is None
     assert member(stepper, 50, 30) is None
     assert built == []
+
+
+def test_member_keeps_the_layer_stop_apart_from_the_row_stop():
+    # the layer reaching 4 starts with 1 and 2 known and may add 2**2 - 1**2
+    # = 3 elements: 2 + 3 > 4, so it runs to its end, adding 3 and 4, and
+    # is the last; a search going on to the next layer passes max_size 4
+    adder = RuleSystem(
+        (Rule("one", 0, lambda: 1), Rule("add", 2, lambda a, b: a + b if a + b <= 150 else None))
+    )
+    one = Tree((1, "one"))
+    two = Tree((2, "add"), (one, one))
+    witness = member(adder, 4, 10, max_size=4)
+    assert witness == Tree((4, "add"), (two, two)) == _naive_member(adder, 4, 10, max_size=4)
+    with pytest.raises(ResourceLimit, match="^more than 4 derivable elements$"):
+        member(adder, 5, 10, max_size=4)
 
 
 @given(_seeds, st.sampled_from((generators.wide_system, generators.unary_system)))
@@ -718,7 +750,8 @@ def test_call_order_and_naive_reference_without_a_pool(seed):
     # rendering order ("10" < "2") differs from numeric order
     rng = random.Random(seed)
     system = generators.unary_system(rng)
-    _assert_call_order(system, 8)
+    for steps in range(9):  # every budget: 0 applies no rule, not even a nullary one
+        _assert_call_order(system, steps)
     sizes = [len(_naive_iterate(system, steps)[0]) for steps in range(8)]
     # a bound passed at the second new element of the last layer holding several
     inside = max(size for size, nxt in zip(sizes, sizes[1:]) if nxt - size > 1) + 1
@@ -729,9 +762,11 @@ def test_call_order_and_naive_reference_without_a_pool(seed):
             )
         for element in generators.WIDE_DOMAIN:
             depth = rng.randint(1, 8)
-            assert _outcome(member, system, element, depth, max_size=max_size) == _outcome(
-                _naive_member, system, element, depth, max_size=max_size
-            )
+            log = []
+            outcome = _outcome(member, _logged(system, log), element, depth, max_size=max_size)
+            assert outcome == _outcome(_naive_member, system, element, depth, max_size=max_size)
+            raised = outcome == (ResourceLimit, f"more than {max_size} derivable elements")
+            assert (log, raised) == _expected_member_calls(system, element, depth, max_size)
 
 
 def _logged(system, log):
