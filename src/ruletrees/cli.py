@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Any argument of the form @FILE is replaced by that file's contents.
+Written @FILE, the tree (`infer`), term (`natded check`, `convert`) and
+program (`recfun eval`, `godel`, `diagonal`) are read from that file.
 Each outcome prints one message on one stream and exits with one code:
 
     verdict: accepted, value, recognized                   stdout  0
@@ -20,10 +21,9 @@ Each outcome prints one message on one stream and exits with one code:
 
 `run` decides every outcome.  A handler returns its exit code and its
 stdout lines and prints nothing, so nothing reaches stdout before a
-command has its whole output.  The library's walks recurse once per
-nesting level, so a handler that raises RecursionError is run once more
-on a worker thread with a stack and a recursion limit sized for
-`MAX_DEPTH` levels; what that run raises goes through the same outcomes.
+command has its whole output.  A handler that raises RecursionError in
+a walk that recurses per level runs once more on a worker thread whose
+stack and recursion limit fit `MAX_DEPTH` levels, with the same outcomes.
 
 `COMMANDS` is the one table of commands.  `build_parser` builds argparse's
 parser from it.  `_read_argv` reads a plainly well-formed argv by it into
@@ -364,10 +364,8 @@ def run(argv=None) -> int:
     if args is None:
         try:
             args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            if isinstance(exc.code, int):
-                return exc.code
-            return 0 if exc.code is None else 2
+        except SystemExit as exc:  # argparse exits 0 after help, 2 on a usage error
+            return exc.code
     try:
         try:
             code, lines = args.func(args)

@@ -6,10 +6,11 @@ finite sets: apply every rule to every tuple drawn from the set and
 collect the defined results.  Iterating that operator from the empty
 set builds the closure in layers, and every element that ever appears
 is justified by a derivation tree whose nodes are rule applications.
-`iterate` and `member` compute the layers in one loop with a budget of
-layers; `member` stops after the layer that reaches its element, or
-inside it at the end of a binary rule's row when the layer cannot pass
-the size bound.
+`iterate` and `member` run the layers in one loop with a budget of
+layers.  A later layer is `step` restricted to the tuples that hold an
+element new in the layer before, with unary rules and binary rows
+walked apart.  `member` stops after the layer reaching its element, or
+inside it at a binary row's end when the layer cannot pass the bound.
 
 Elements are ordinary Python values; they must support equality and
 hashing.  Argument tuples follow the order of the elements' renderings
@@ -134,20 +135,18 @@ def _layers(system: RuleSystem, known: dict, max_size: int, message: str, limit:
     the render-sorted pool.  Each layer lists its new elements in
     discovery order.  Layer 0 applies the nullary rules, the only layer
     that does.  A tuple made only of elements older than the previous
-    layer yields an element found already, so a later layer tries only
-    the tuples that hold a `fresh` element, one new in the previous layer
-    (render-sorted), and each arity walks them in its own loop:
+    layer yields an element found already, so a later layer is `step`
+    restricted to the tuples that hold a `fresh` element, one new in the
+    previous layer (render-sorted), with two arities specialised:
 
     - a unary rule walks `fresh`;
     - a binary rule pairs each pool element with the whole pool if it is
       fresh and with `fresh` if not;
-    - a wider rule takes, for each prefix over the pool, the whole pool at
-      the last position if the prefix holds a fresh element and `fresh`
-      if not.
+    - a wider rule walks the pool's full product, skipping the tuples
+      with no fresh element: n**k tuples for `_layer_tries`' calls.
 
-    Only rules of arity 2 or more read the pool, so it is kept only for
-    systems that have one.  Raises ResourceLimit(message) once
-    more than `max_size` elements are known.
+    Only rules of arity 2 or more read the pool, kept only for systems
+    that have one.  Raises ResourceLimit(message) past `max_size` elements.
 
     Given a `target`, there are two stops.  A layer after which `target`
     is known is the last.  The layer reaching it also stops early, at
@@ -211,13 +210,8 @@ def _layers(system: RuleSystem, known: dict, max_size: int, message: str, limit:
                             return count + 1
                         row_stop = None
             else:
-                tuples = itertools.chain.from_iterable(
-                    itertools.product(
-                        *zip(prefix), fresh if fresh_set.isdisjoint(prefix) else pool
-                    )
-                    for prefix in itertools.product(pool, repeat=arity - 1)
-                )
-                for args in tuples:
+                tuples = itertools.product(pool, repeat=arity)
+                for args in itertools.filterfalse(fresh_set.isdisjoint, tuples):
                     result = fn(*args)
                     if result is not None and result not in known:
                         found(result, rule, args)

@@ -661,6 +661,28 @@ def test_at_file_with_non_utf8_bytes(capsys, tmp_path):
     assert "codec can't decode byte 0xff" in err
 
 
+def test_only_the_six_text_arguments_read_at_file(capsys, tmp_path):
+    # the tree, term or program written @FILE gives the outcome of its text inline
+    path = tmp_path / "text"
+    for argv, text in (
+        (["infer", "--system", "even", "@"], "f2(f2(f1))"),
+        (["natded", "check", "--form", "scheme", "@"], SWAP_TEXT),
+        (["natded", "convert", "--to", "var", "@"], SWAP_TEXT),
+        (["recfun", "eval", "@", "3"], "comp(succ; succ)"),
+        (["recfun", "godel", "@"], "comp(succ; succ)"),
+        (["recfun", "diagonal", "@"], "proj^2_1"),
+    ):
+        path.write_text(text)
+        inline = invoke(capsys, *[text if arg == "@" else arg for arg in argv])
+        assert inline[0] == 0 and inline[1]
+        assert invoke(capsys, *[f"@{path}" if arg == "@" else arg for arg in argv]) == inline
+    # any other argument is taken as written
+    path.write_text("5")
+    code, out, err = invoke(capsys, "recfun", "ungodel", f"@{path}")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"argument CODE: invalid _nonneg value: '@{path}'\n")
+
+
 def test_resource_limit_goes_to_stderr_with_exit_1(capsys, monkeypatch):
     def iterate(*args, **kwargs):
         raise ResourceLimit("step produced more than 5 elements")

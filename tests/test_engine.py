@@ -841,6 +841,29 @@ def test_call_order_with_runs_of_fresh_elements():
     assert wide.index((2, 12, 11)) == 8 + 51
 
 
+def test_call_order_with_a_rule_of_arity_four():
+    # wider than any rule `generators.wide_system` draws: a layer after the
+    # first walks the pool's 4-fold product and skips the tuples holding no
+    # fresh element; 10 to 14 render before 2, and 13 is the last element,
+    # reached in the fifth layer
+    def q(a, b, c, d):
+        value = a * b + c * d
+        return value if a != b and c < d and value < 15 else None
+
+    system = RuleSystem(
+        (Rule("z", 0, lambda: 1), Rule("u", 1, lambda a: a + 1 if a < 3 else None), Rule("q", 4, q))
+    )
+    for steps in range(7):
+        _assert_call_order(system, steps)
+    for max_size in (8, DEFAULT_MAX_SET_SIZE):  # 8 is passed inside the fourth layer
+        for element, depth in ((13, 6), (13, 4), (14, 5), (4, 3), (0, 6)):
+            log = []
+            outcome = _outcome(member, _logged(system, log), element, depth, max_size=max_size)
+            assert outcome == _outcome(_naive_member, system, element, depth, max_size=max_size)
+            raised = outcome == (ResourceLimit, f"more than {max_size} derivable elements")
+            assert (log, raised) == _expected_member_calls(system, element, depth, max_size)
+
+
 @pytest.mark.parametrize(
     "system, max_size, calls, last",
     [

@@ -649,6 +649,51 @@ def test_term_print_parse_round_trip(seed):
     assert nd.parse_term(nd.print_term(named), "var") == named
 
 
+# ------------------------------------------------------ provability, decided
+
+def _provable(ctx: frozenset, concl) -> bool:
+    """`ctx |- concl` in the five rules, decided apart from the checkers.
+    With no =>-elimination a normal proof puts its introductions over
+    eliminations that only take halves of conjunctions out of `ctx`."""
+    halves, stack = set(), list(ctx)
+    while stack:
+        prop = stack.pop()
+        if prop not in halves:
+            halves.add(prop)
+            if isinstance(prop, nd.And):
+                stack += prop
+    if concl in halves:
+        return True
+    if isinstance(concl, nd.And):
+        return _provable(ctx, concl.left) and _provable(ctx, concl.right)
+    return isinstance(concl, nd.Imp) and _provable(ctx | {concl.left}, concl.right)
+
+
+def test_provable_decides_known_sequents():
+    assert _provable(*nd.parse_sequent("|- P /\\ Q => Q /\\ P"))
+    assert not _provable(*nd.parse_sequent("|- ((P => Q) => P) => P"))  # Peirce's law
+    assert not _provable(*nd.parse_sequent("P => Q, P |- Q"))  # no =>-elimination
+    tree = nd.parse_sequent_deriv(DERIV_TEXT)
+    nd.check_sequent_deriv(tree)
+    assert all(_provable(*node.label[0]) for _, node in generators.preorder(tree))
+
+
+@given(_seeds)
+def test_every_accepted_sequent_is_provable(seed):
+    rng = random.Random(seed)
+    ctx = frozenset({generators.prop(rng)}) if rng.random() < 0.5 else frozenset()
+    term = generators.scheme_term(rng, ctx=ctx)
+    assert _provable(*nd.check_scheme(term, ctx))
+    assert _provable(*nd.check_var(generators.var_term(rng)))
+    # the sequent file of the term's derivation, untagged at random nodes
+    tree = nd.scheme_sequent_tree(term, ctx).map_labels(
+        lambda label: label if rng.random() < 0.5 else (label[0], None)
+    )
+    parsed = nd.parse_sequent_deriv(_print_sequent_deriv(tree))
+    nd.check_sequent_deriv(parsed)
+    assert all(_provable(*node.label[0]) for _, node in generators.preorder(parsed))
+
+
 # ----------------------------------------------------------------------- latex
 
 def test_latex_rendering():
