@@ -47,7 +47,7 @@ class MalformedChain(Rejected):
     """A tree handed to `erase` is not a linear chain ending in a final rule."""
 
 
-class Nfa(record("states", "alphabet", "transitions", "finals")):
+class Nfa(record("Nfa", "states", "alphabet", "transitions", "finals")):
     """Frozensets of names, and of (source, letter, target) transitions,
     with the rule view built as `RuleSystem` builds its index: `_edges` and
     `_final_rules` as in `CompiledRules`, and `_steps` mapping each letter
@@ -93,16 +93,11 @@ class Nfa(record("states", "alphabet", "transitions", "finals")):
         raise AttributeError(f"cannot assign to field {name!r}")
 
 
-class CompiledRules(record("system", "edges", "finals", "erasure")):
-    """An automaton's rules as a `RuleSystem`.
-
-    `edges` lists the letter rules as (name, letter, premise, conclusion);
-    `finals` lists the nullary rules as (name, state); `erasure` maps
-    every rule name to the letter it spells, the empty string for final
-    rules.
-    """
-
-    __slots__ = ()
+CompiledRules = record("CompiledRules", "system", "edges", "finals", "erasure", doc="""\
+An automaton's rules as a `RuleSystem`: `edges` lists the letter rules as
+(name, letter, premise, conclusion), `finals` the nullary rules as (name,
+state), and `erasure` maps every rule name to the letter it spells, the
+empty string for a final rule.""")
 
 
 def compile_nfa(nfa: Nfa) -> CompiledRules:

@@ -39,7 +39,7 @@ class RuleUndefined(Rejected):
     """A rule was applied at arguments where it is undefined."""
 
 
-class Rule(record("name", "arity", "fn")):
+class Rule(record("Rule", "name", "arity", "fn")):
     """A named partial function of fixed arity.
 
     `fn` receives `arity` positional arguments and returns either an
@@ -64,7 +64,7 @@ class Rule(record("name", "arity", "fn")):
         return self.fn(*args)
 
 
-class RuleSystem(record("rules")):
+class RuleSystem(record("RuleSystem", "rules")):
     """A finite list of rules with distinct names, compared by `rules`."""
 
     def __new__(cls, rules: tuple[Rule, ...]):

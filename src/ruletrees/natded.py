@@ -43,22 +43,14 @@ from .trees import Tree, check_nodes, read_text, record, tokenize
 
 # ---------------------------------------------------------------- propositions
 
-class Atom(record("name")):
-    __slots__ = ()
-
-
-class And(record("left", "right")):
-    __slots__ = ()
-
-
-class Imp(record("left", "right")):
-    __slots__ = ()
-
+Atom = record("Atom", "name")
+And = record("And", "left", "right")
+Imp = record("Imp", "left", "right")
 
 Prop = Union[Atom, And, Imp]
 
 
-class Sequent(record("ctx", "concl")):
+class Sequent(record("Sequent", "ctx", "concl")):
     __slots__ = ()
 
     def __str__(self) -> str:
@@ -67,46 +59,17 @@ class Sequent(record("ctx", "concl")):
 
 # ----------------------------------------------------------------- proof terms
 
-class Hyp(record("prop")):
-    """Use of a hypothesis, identified by the proposition it proves."""
-
-    __slots__ = ()
-
-
-class HypFull(record("ctx", "prop")):
-    """Use of a hypothesis carrying its full context explicitly."""
-
-    __slots__ = ()
-
-
-class Lam(record("prop", "body")):
-    """Implication introduction; the binder is the proposition alone."""
-
-    __slots__ = ()
-
-
-class Pair(record("left", "right")):
-    __slots__ = ()
-
-
-class Fst(record("body")):
-    __slots__ = ()
-
-
-class Snd(record("body")):
-    __slots__ = ()
-
+Hyp = record("Hyp", "prop", doc="Use of a hypothesis, identified by the proposition it proves.")
+HypFull = record("HypFull", "ctx", "prop", doc="Use of a hypothesis carrying its full context explicitly.")
+Lam = record("Lam", "prop", "body", doc="Implication introduction; the binder is the proposition alone.")
+Pair = record("Pair", "left", "right")
+Fst = record("Fst", "body")
+Snd = record("Snd", "body")
 
 SchemeTerm = Union[Hyp, HypFull, Lam, Pair, Fst, Snd]
 
-
-class Var(record("name")):
-    __slots__ = ()
-
-
-class LamV(record("name", "prop", "body")):
-    __slots__ = ()
-
+Var = record("Var", "name")
+LamV = record("LamV", "name", "prop", "body")
 
 PairV, FstV, SndV = Pair, Fst, Snd
 
@@ -237,7 +200,7 @@ def scheme_sequent_tree(term: Term, root_ctx: Iterable[Prop] = ()) -> Tree:
 
 
 def _node(ctx: frozenset, concl: Prop, rule: str, children: tuple = ()) -> Tree:
-    """`Tree((Sequent(ctx, concl), rule), children)`, built as both classes would build it."""
+    """`Tree((Sequent(ctx, concl), rule), children)`."""
     return tuple.__new__(Tree, ((tuple.__new__(Sequent, (ctx, concl)), rule), children))
 
 
@@ -468,10 +431,8 @@ def _read_prop(tokens: list[str], i: int, nodes: dict) -> tuple[Prop, int]:
     both associate to the right.  Each node is built once per `nodes`
     dict, which keeps it under its class and the `id`s of its parts (an
     atom under its name): every reader passes one dict per call, so equal
-    propositions read in one call are one object.  Atom, And and Imp have
-    no validating `__new__`, so `tuple.__new__` builds them as their
-    classes would.  A ParseError raised here has the index of the failing
-    token as its position.
+    propositions read in one call are one object.  A ParseError raised
+    here has the index of the failing token as its position.
     """
     pending = [(-1, None, None)]
     while True:
@@ -519,9 +480,8 @@ def parse_prop(text: str) -> Prop:
 def _read_term(tokens: list[str], i: int, scheme: bool, nodes: dict) -> tuple[Term, int]:
     """Read a scheme term (`scheme` true) or a var term from `tokens[i:]`,
     one frame per level, with its propositions read into `nodes`; return it
-    and the index of the token after it.  The records have no validating
-    `__new__`, so `tuple.__new__` builds them as their classes would.  A
-    ParseError raised here has the index of the failing token."""
+    and the index of the token after it.  A ParseError raised here has the
+    index of the failing token."""
     token = tokens[i]
     if token == "hyp" or token == "axiom":
         if not scheme:

@@ -48,39 +48,12 @@ from .errors import (
 from .trees import Tree, read_text, record
 
 
-class Zero(record("arity")):
-    """The function of `arity` arguments that is constantly 0."""
-
-    __slots__ = ()
-
-
-class Succ(record()):
-    __slots__ = ()
-
-
-class Proj(record("arity", "index")):
-    """The `index`-th of `arity` arguments, 1-based."""
-
-    __slots__ = ()
-
-
-class Comp(record("outer", "inner")):
-    """Apply `outer` to the results of the `inner` programs."""
-
-    __slots__ = ()
-
-
-class Rec(record("base", "step")):
-    """Primitive recursion on the first argument, from `base` via `step`."""
-
-    __slots__ = ()
-
-
-class Mu(record("body")):
-    """Search for the least value making `body` return 0."""
-
-    __slots__ = ()
-
+Zero = record("Zero", "arity", doc="The function of `arity` arguments that is constantly 0.")
+Succ = record("Succ")
+Proj = record("Proj", "arity", "index", doc="The `index`-th of `arity` arguments, 1-based.")
+Comp = record("Comp", "outer", "inner", doc="Apply `outer` to the results of the `inner` programs.")
+Rec = record("Rec", "base", "step", doc="Primitive recursion on the first argument, from `base` via `step`.")
+Mu = record("Mu", "body", doc="Search for the least value making `body` return 0.")
 
 Program = Union[Zero, Succ, Proj, Comp, Rec, Mu]
 
@@ -439,9 +412,8 @@ def _program_tokens(text: str) -> list[str]:
 
 def _read_prog(tokens: list[str], i: int) -> tuple[Program, int]:
     """Read a program from `tokens[i:]`, one frame per level; return it and
-    the index of the token after it.  The combinators have no validating
-    `__new__`, so `tuple.__new__` builds them as their classes would.  A
-    ParseError raised here has the index of the failing token."""
+    the index of the token after it.  A ParseError raised here has the index
+    of the failing token."""
     word = tokens[i]
     if word not in ("comp", "rec", "mu"):
         program = _base_program(word)

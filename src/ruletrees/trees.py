@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from collections import namedtuple
 from typing import Any, Callable
 
@@ -32,39 +33,40 @@ def _same_record(self, other) -> bool:
     return self.__class__ is other.__class__ and tuple.__eq__(self, other)
 
 
-def record(*fields: str, defaults: tuple = ()) -> type:
-    """A base class for immutable records: `class Atom(record("name"))`,
-    whose body sets `__slots__ = ()`.
+def record(name: str, *fields: str, defaults: tuple = (), doc: str | None = None) -> type:
+    """An immutable record class, declared in one line:
+    `Atom = record("Atom", "name", doc=...)`.
 
-    The base is a `collections.namedtuple` (`defaults` fill the last
-    fields), so a record is built positionally or by keyword through its
-    generated `__new__`, refuses attribute assignment, and has the `repr`
-    `Atom(name='P')`.  It is a tuple: it unpacks, indexes, orders and
-    hashes like the tuple of its fields.  Equality alone also checks the
-    class, so that `And(p, q)` and `Imp(p, q)` stay two members of one set
-    and no record equals a plain tuple.  A record is true even with no
-    fields.  `_make`, and `_replace` through it, build by calling the
-    class, so a subclass's validating `__new__` runs for them too.
+    The class is a `collections.namedtuple` (`defaults` fill the last
+    fields, `doc` is its docstring) named in the caller's module, so its
+    values pickle by name.  A record is built positionally or by keyword,
+    refuses attribute assignment, and has the `repr` `Atom(name='P')`.  It
+    is a tuple: it unpacks, indexes, orders and hashes like the tuple of
+    its fields.  Equality alone also checks the class, so that `And(p, q)`
+    and `Imp(p, q)` stay two members of one set and no record equals a
+    plain tuple.  A record is true even with no fields.  A class with
+    behaviour subclasses a record and sets `__slots__ = ()`, or keeps a
+    `__dict__` for its indexes.
+
+    `_make`, and `_replace` through it, build by calling the class, so a
+    validating `__new__` runs for them too.  `Rule`, `RuleSystem` and
+    `Nfa` validate in `__new__` and must be called; any other record is
+    the value `tuple.__new__(cls, fields)`, which the hot builders use to
+    skip the generated `__new__`.
     """
-    base = namedtuple("record", fields, defaults=defaults)
-    base._make = classmethod(lambda cls, iterable: cls(*iterable))
-    base.__eq__ = _same_record
-    base.__ne__ = lambda self, other: not _same_record(self, other)
-    base.__hash__ = tuple.__hash__
-    base.__bool__ = lambda self: True
-    return base
+    cls = namedtuple(name, fields, defaults=defaults, module=sys._getframe(1).f_globals["__name__"])
+    cls.__doc__ = doc
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    cls.__eq__ = _same_record
+    cls.__ne__ = lambda self, other: not _same_record(self, other)
+    cls.__hash__ = tuple.__hash__
+    cls.__bool__ = lambda self: True
+    return cls
 
 
-class Tree(record("label", "children", defaults=((),))):
-    # Tree has no validating `__new__`: `tuple.__new__(Tree, (label, children))`
-    # is the same value as `Tree(label, children)`, built without namedtuple's
-    # Python-level `__new__`.  Only the hot builders use it: `parse_name_tree`
-    # (every node), `engine.infer_full_tree`, the runs of
-    # `automata.derivations_of` and natded's `_sequent_node`; natded's and
-    # recfun's readers and natded's `_rebind` build their records the same
-    # way, and `engine.member` calls `Tree.__new__`, skipping `type.__call__`.
-    # The folds go through `fold`; the printers and `engine.check_full_tree`
-    # keep a run loop of their own.
+class Tree(record("Tree", "label", "children", defaults=((),))):
+    # the folds go through `fold`; the printers and `engine.check_full_tree`
+    # keep a run loop of their own
     __slots__ = ()
 
     def height(self) -> int:

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 
 import pytest
@@ -342,6 +343,27 @@ def test_parse_term_errors_carry_positions(text, position):
     with pytest.raises(ParseError) as info:
         nd.parse_term(text, "scheme")
     assert info.value.position == position
+
+
+def test_a_stray_character_after_a_term_past_the_recursion_limit_is_reported():
+    """The reader runs out of stack before it reaches the `$`; `read_text`
+    then reports the stray character, not the RecursionError."""
+    text = "fun [P] " + "fst(<" * 700 + "hyp [P]" + ", hyp [P]>)" * 700 + " $"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        with pytest.raises(ParseError) as info:
+            nd.parse_term(text, "scheme")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (info.value.message, info.value.position) == ("unexpected character '$'", 11_216)
+    assert isinstance(info.value.__context__, RecursionError)
+
+
+@pytest.mark.parametrize("value", [P, (1, 2)], ids=["atom", "tuple"])
+def test_print_term_refuses_what_is_not_a_term(value):
+    with pytest.raises(TypeError, match=rf"^not a term: {re.escape(repr(value))}$"):
+        nd.print_term(value)
 
 
 def test_print_term():

@@ -12,6 +12,7 @@ import generators
 from ruletrees import errors
 from ruletrees import recfun as rf
 from ruletrees.errors import ArityMismatch, ParseError, ResourceLimit
+from ruletrees.natded import Atom
 from ruletrees.trees import Tree, parse_name_tree, print_name_tree
 
 ADD_TWO = rf.Comp(rf.Succ(), (rf.Succ(),))
@@ -583,6 +584,13 @@ def test_program_print_parse_round_trip(seed):
     rng = random.Random(seed)
     program = generators.program(rng, rng.randint(0, 3), rng.randint(1, 3))
     assert rf.parse_program(rf.print_program(program)) == program
+
+
+@pytest.mark.parametrize("walk", [rf.arity_of, rf.print_program, rf.program_to_name_tree])
+@pytest.mark.parametrize("value", [Atom("P"), (1, 2)], ids=["atom", "tuple"])
+def test_the_program_walks_refuse_what_is_not_a_program(walk, value):
+    with pytest.raises(TypeError, match=rf"^not a program: {re.escape(repr(value))}$"):
+        walk(value)
 
 
 # ---------------------------------------------------------- name tree bridge

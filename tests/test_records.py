@@ -1,12 +1,19 @@
 """The semantics every record type keeps: class-checked equality, hashing,
-immutability, truth, keyword construction, validation and repr."""
+immutability, truth, keyword construction, validation, repr, pickling
+and copying."""
+
+import copy
+import pickle
 
 import pytest
 
-from ruletrees.automata import Nfa
+from ruletrees import automata, engine, natded, recfun, trees
+from ruletrees.automata import CompiledRules, Nfa
 from ruletrees.engine import Rule, RuleSystem
-from ruletrees.natded import And, Atom, Fst, Hyp, Imp, Sequent, Var
-from ruletrees.recfun import Comp, Mu, Proj, Succ, Zero
+from ruletrees.natded import (
+    And, Atom, Fst, Hyp, HypFull, Imp, Lam, LamV, Pair, Sequent, Snd, Var
+)
+from ruletrees.recfun import Comp, Mu, Proj, Rec, Succ, Zero
 from ruletrees.trees import Tree
 
 P, Q = Atom("P"), Atom("Q")
@@ -159,3 +166,51 @@ def test_repr_matches_the_field_listing():
     assert repr(RuleSystem((Rule("s", 1, abs),))) == (
         "RuleSystem(rules=(Rule(name='s', arity=1, fn=<built-in function abs>),))"
     )
+
+
+NFA = Nfa(frozenset({"s"}), frozenset({"a"}), frozenset({("s", "a", "s")}), frozenset({"s"}))
+
+# one value of every record class, and the module that defines it
+EVERY_RECORD = [
+    (Atom("P"), natded),
+    (And(P, Q), natded),
+    (Imp(P, Q), natded),
+    (Sequent(frozenset([P]), Imp(Q, P)), natded),
+    (Hyp(P), natded),
+    (HypFull(frozenset([P]), P), natded),
+    (Lam(P, Hyp(P)), natded),
+    (Pair(Hyp(P), Hyp(Q)), natded),
+    (Fst(Hyp(P)), natded),
+    (Snd(Hyp(P)), natded),
+    (Var("x"), natded),
+    (LamV("x", P, Var("x")), natded),
+    (Zero(1), recfun),
+    (Succ(), recfun),
+    (Proj(2, 1), recfun),
+    (Comp(Succ(), (Zero(1),)), recfun),
+    (Rec(Proj(1, 1), Proj(3, 2)), recfun),
+    (Mu(Proj(2, 1)), recfun),
+    (Tree("f2", (Tree("f1"),)), trees),
+    (Rule("s", 1, abs), engine),
+    (RuleSystem((Rule("z", 0, abs), Rule("s", 1, abs))), engine),
+    (NFA, automata),
+    (CompiledRules(RuleSystem(()), (), (("eps1", "s"),), {"eps1": ""}), automata),
+]
+
+
+@pytest.mark.parametrize("value, module", EVERY_RECORD, ids=[type(v).__name__ for v, _ in EVERY_RECORD])
+def test_a_record_pickles_and_copies_by_name(value, module):
+    assert type(value).__module__ == module.__name__
+    assert getattr(module, type(value).__name__) is type(value)
+    for again in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(again) is type(value) and again == value
+    with pytest.raises(AttributeError):
+        setattr(value, "extra", 1)
+    # only RuleSystem and Nfa keep a __dict__, for their indexes
+    assert hasattr(value, "__dict__") == (type(value) in (RuleSystem, Nfa))
+
+
+def test_a_record_without_behaviour_is_one_class():
+    for cls in (Atom, Hyp, LamV, Zero, Succ, Mu, CompiledRules):
+        assert cls.__mro__ == (cls, tuple, object)
+    assert Proj.__doc__ == "The `index`-th of `arity` arguments, 1-based."
