@@ -204,7 +204,10 @@ def _node(ctx: frozenset, concl: Prop, rule: str, children: tuple = ()) -> Tree:
     return tuple.__new__(Tree, ((tuple.__new__(Sequent, (ctx, concl)), rule), children))
 
 
-def _sequent_node(term: Term, ctx: frozenset, binders: tuple[tuple[str, Prop], ...]) -> Tree:
+def _sequent_node(term: Term, ctx: frozenset, binders: tuple) -> Tree:
+    """The sequent tree of `term` under `ctx`.  `binders` chains the named
+    binders around it as (name, proposition, outer binders), `()` for none:
+    a binder pushes one triple, and a variable walks it innermost first."""
     if isinstance(term, Hyp):
         if term.prop not in ctx:
             raise HypNotInContext(
@@ -223,7 +226,8 @@ def _sequent_node(term: Term, ctx: frozenset, binders: tuple[tuple[str, Prop], .
             )
         return _node(ctx, term.prop, AXIOM)
     if isinstance(term, Var):
-        for name, prop in reversed(binders):
+        while binders:
+            name, prop, binders = binders
             if name == term.name:
                 return _node(ctx, prop, AXIOM)
         raise UnboundVariable((), f"variable {term.name} is not bound")
@@ -231,7 +235,7 @@ def _sequent_node(term: Term, ctx: frozenset, binders: tuple[tuple[str, Prop], .
     try:
         if isinstance(term, (Lam, LamV)):
             if isinstance(term, LamV):
-                binders += ((term.name, term.prop),)
+                binders = (term.name, term.prop, binders)
             body = _sequent_node(term.body, ctx | {term.prop}, binders)
             concl = tuple.__new__(Imp, (term.prop, body.label[0].concl))
             return _node(ctx, concl, IMP_INTRO, (body,))
@@ -266,16 +270,17 @@ var_sequent_tree, check_var = scheme_sequent_tree, check_scheme
 
 # ------------------------------------------------------------------ conversions
 
-def _rebind(term: Term, names: Iterator[str] | None, binders: tuple[tuple[str, Prop], ...] = ()) -> Term:
+def _rebind(term: Term, names: Iterator[str] | None, binders: tuple = ()) -> Term:
     """`term` rebuilt in the other term form, one frame per level: a
     scheme term as a var term, naming each binder `next(names)`, or, with
-    `names` None, a var term as a scheme term.  `binders` holds the (name,
-    proposition) of each enclosing binder, outermost first; a leaf takes
-    the innermost that carries its proposition (`hyp`) or name (a variable).
-    A Rejected raised below gets the index of its subterm on its path."""
+    `names` None, a var term as a scheme term.  `binders` chains the
+    enclosing binders as in `_sequent_node`; a leaf takes the innermost
+    that carries its proposition (`hyp`) or name (a variable).  A Rejected
+    raised below gets the index of its subterm on its path."""
     to_var = names is not None
     if isinstance(term, Hyp if to_var else Var):
-        for name, prop in reversed(binders):
+        while binders:
+            name, prop, binders = binders
             if (prop if to_var else name) == term[0]:  # the leaf's one field
                 return tuple.__new__(Var, (name,)) if to_var else tuple.__new__(Hyp, (prop,))
         if to_var:
@@ -287,7 +292,7 @@ def _rebind(term: Term, names: Iterator[str] | None, binders: tuple[tuple[str, P
     try:
         if isinstance(term, Lam if to_var else LamV):
             name = next(names) if to_var else term.name
-            body = _rebind(term.body, names, binders + ((name, term.prop),))
+            body = _rebind(term.body, names, (name, term.prop, binders))
             if to_var:
                 return tuple.__new__(LamV, (name, term.prop, body))
             return tuple.__new__(Lam, (term.prop, body))

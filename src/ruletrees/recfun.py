@@ -257,7 +257,8 @@ def _listed(length: int, max_bits: int | None) -> int:
 
 
 def _encode(value, max_bits: int | None) -> int:
-    """The code of a program, of a list of programs, or of a numeral (itself)."""
+    """The code of a program, of a list of programs, or of a numeral (itself):
+    <head, nest(the codes of its items)>, in one frame per nesting level."""
     if not isinstance(value, (tuple, list)):
         return value
     # programs are tuples too, so their classes go before the list case
@@ -266,16 +267,13 @@ def _encode(value, max_bits: int | None) -> int:
             break
     else:
         head = _listed(len(value), max_bits)
-    return _within(_pair(head, _nest(value, max_bits)), max_bits)
-
-
-def _nest(values, max_bits: int | None) -> int:
-    """Right-nested pairs of the codes of `values`, the last bare; 0 for none."""
-    codes = [_encode(v, max_bits) for v in values]
+    codes = []
+    for item in value:
+        codes.append(_encode(item, max_bits))
     code = codes.pop() if codes else 0
-    for head in reversed(codes):
-        code = _within(_pair(head, code), max_bits)
-    return code
+    for item in reversed(codes):
+        code = _within(_pair(item, code), max_bits)
+    return _within(_pair(head, code), max_bits)
 
 
 def ungodel(code: int, max_bits: int | None = None) -> Program:
@@ -295,37 +293,15 @@ def ungodel(code: int, max_bits: int | None = None) -> Program:
     return program
 
 
-def _decode(code: int, max_bits: int | None, kind: str = "p", outer: Program | None = None):
-    """What `code` codes as a numeral ("n"), a program ("p") or the inner
-    programs ("l") of a composition around `outer`.
+def _decode(code: int, max_bits: int | None) -> Program:
+    """The program `code` codes, in one frame per nesting level.
 
-    A list's length is checked against the outer program's arity and then
+    A composition's list of inner programs is read after its outer program:
+    its length is checked against the outer program's arity and then
     against `max_bits` before its items are decoded, since they take time
-    in that length.  An IllFormed raised for a list has its path from the
-    composition.
+    in that length.  The programs decoded go into `fields` in path order.
     """
-    if kind == "n":
-        return code
     head, rest = _unpair(code)
-    if kind == "l":
-        if head < 1:
-            raise DecodeError("a composition lists at least one inner program")
-        if head != _spine_arity(outer):
-            try:
-                arity = arity_of(outer)
-            except IllFormed as err:
-                err.path = (0, *err.path)
-                raise
-            raise _comp_mismatch(arity, head)
-        _listed(head, max_bits)
-        inner = []
-        try:
-            for item in _unnest(rest, head):
-                inner.append(_decode(item, max_bits))
-        except IllFormed as err:
-            err.path = (len(inner) + 1, *err.path)
-            raise
-        return tuple(inner)
     if head >= len(_CONSTRUCTORS):
         raise DecodeError(f"unknown constructor tag {head}")
     cls, kinds = _CONSTRUCTORS[head]
@@ -333,28 +309,45 @@ def _decode(code: int, max_bits: int | None, kind: str = "p", outer: Program | N
         raise DecodeError(f"successor carries no payload, got {rest}")
     fields = []
     for field, kind in zip(_unnest(rest, len(kinds)), kinds):
+        if kind == "n":
+            fields.append(field)
+            continue
+        items = (field,)
+        if kind == "l":
+            length, field = _unpair(field)
+            if length < 1:
+                raise DecodeError("a composition lists at least one inner program")
+            if length != _spine_arity(fields[0]):
+                try:
+                    arity = arity_of(fields[0])
+                except IllFormed as err:
+                    err.path = (0, *err.path)
+                    raise
+                raise _comp_mismatch(arity, length)
+            items = _unnest(field, _listed(length, max_bits))
         try:
-            fields.append(_decode(field, max_bits, kind, *fields[:1]))  # a list follows its outer
+            for item in items:
+                fields.append(_decode(item, max_bits))
         except IllFormed as err:
-            if kind == "p":  # a list's paths already start at the composition
-                err.path = (len(fields), *err.path)
+            err.path = (len(fields), *err.path)
             raise
+    if cls is Comp:
+        return Comp(fields[0], tuple(fields[1:]))
     return cls(*fields)
 
 
 def _spine_arity(program: Program) -> int:
     """What `arity_of` gives a well-formed program, read down its spine alone."""
-    if isinstance(program, (Zero, Proj)):
-        return program.arity
-    if isinstance(program, Comp):
-        return _spine_arity(program.inner[0])
-    if isinstance(program, Succ):
-        return 1
-    return _spine_arity(program[0]) + (1 if isinstance(program, Rec) else -1)
+    shift = 0
+    while isinstance(program, (Comp, Rec, Mu)):
+        if not isinstance(program, Comp):
+            shift += 1 if isinstance(program, Rec) else -1
+        program = program.inner[0] if isinstance(program, Comp) else program[0]
+    return shift + (1 if isinstance(program, Succ) else program.arity)
 
 
 def _unnest(code: int, n: int):
-    """The `n` codes that `_nest` paired into `code`, first to last, taken
+    """The `n` codes that `_encode` paired into `code`, first to last, taken
     apart one at a time so that decoding stops at the first bad one."""
     for _ in range(n - 1):
         head, code = _unpair(code)

@@ -438,6 +438,36 @@ def test_numbering_round_trip_on_random_programs(seed):
     assert rf.ungodel(rf.godel(program)) == program
 
 
+@given(_seeds)
+def test_spine_arity_is_arity_of_on_well_formed_programs(seed):
+    rng = random.Random(seed)
+    program = generators.program(rng, rng.randint(0, 3), rng.randint(0, 3))
+    assert rf._spine_arity(program) == rf.arity_of(program)
+
+
+def test_spine_arity_is_arity_of_on_small_programs():
+    for program in generators.all_programs(4):
+        assert rf._spine_arity(program) == rf.arity_of(program)
+
+
+def test_spine_arity_reads_a_spine_past_the_recursion_limit():
+    # rec, rec, comp, mu: one argument more every four levels
+    program, arity = rf.Zero(0), 0
+    for level in range(100_000):
+        if level % 4 < 2:
+            program, arity = rf.Rec(program, rf.Zero(arity + 2)), arity + 1
+        elif level % 4 == 2:
+            program = rf.Comp(rf.Succ(), (program,))
+        else:
+            program, arity = rf.Mu(program), arity - 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        assert rf._spine_arity(program) == arity == 25_000
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def _mu_nest(depth):
     program = rf.Zero(depth)
     for _ in range(depth):
@@ -479,7 +509,7 @@ def test_ungodel_code_length_bound():
 
 
 def _code(*parts):
-    """The right-nested pairing of `parts`, as `_nest` forms it."""
+    """The right-nested pairing of `parts`, as `_encode` forms it."""
     code = parts[-1]
     for head in reversed(parts[:-1]):
         code = (head + code) * (head + code + 1) // 2 + code
