@@ -54,11 +54,11 @@ class Nfa(record("Nfa", "states", "alphabet", "transitions", "finals")):
     to its `_edges` in name order."""
 
     def __new__(cls, states, alphabet, transitions, finals):
-        for state in finals:
+        for state in sorted(finals):  # the first fault in name order, whatever the hash seed
             if state not in states:
                 raise ValueError(f"final state {state} is not declared")
         by_letter = {}
-        for source, letter, target in transitions:
+        for source, letter, target in sorted(transitions):
             if source not in states:
                 raise ValueError(f"transition source {source} is not declared")
             if target not in states:

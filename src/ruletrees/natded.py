@@ -399,26 +399,21 @@ _TOKEN_RE = re.compile(
 _RESERVED = {"fun", "hyp", "axiom", "fst", "snd"}
 
 
-def _prop_tokens(text: str) -> list[str]:
-    """`_tokens(text)` where `text` holds no other mark than a proposition's:
-    one that does stays in a token that no reader takes, as a stray
-    character does.  Past whitespace the regex takes ASCII alone, and
-    `str.isidentifier` more, so a text with any other character fails."""
+def _tokens(text: str) -> list[str]:
+    """`_TOKEN_RE.findall(text)` by str methods, for every natded text: a
+    proposition, a term or a sequent's part.  A stray character stays in a
+    token that no reader takes.  Past whitespace the regex takes ASCII
+    alone, and `str.isidentifier` more, so a text with any other character
+    fails."""
     if not text.isascii() and not "".join(text.split()).isascii():
         raise ParseError("a character outside ASCII", 0)
-    text = text.replace("(", " ( ").replace(")", " ) ").replace("=>", " => ")
-    return text.replace("/\\", " /\\ ").split()
-
-
-def _tokens(text: str) -> list[str]:
-    """`_TOKEN_RE.findall(text)` by str methods, where `text` holds no
-    stray character."""
     text = (
         text.replace("[", " [ ").replace("]", " ] ").replace("{", " { ").replace("}", " } ")
         .replace("<", " < ").replace(">", " > ").replace(",", " , ").replace("|", " | ")
         .replace(":", " : ").replace(".", " . ")
     )  # each `>` has had a space put before it, so "= >" was "=>"
-    return _prop_tokens(text.replace("= >", "=>"))
+    text = text.replace("= >", " => ").replace("(", " ( ").replace(")", " ) ")
+    return text.replace("/\\", " /\\ ").split()
 
 
 # how tightly each operator binds, and the node it builds; "(" binds 0
@@ -561,10 +556,9 @@ def _read_sequent(text: str, props: dict, nodes: dict) -> Sequent:
     """`parse_sequent(text)`, with each distinct stripped proposition text
     read once into `props` and each distinct node built once into `nodes`.
     No proposition holds `,` or `|-`, so str methods split `text` into
-    proposition texts, and `_prop_tokens` splits each (`_tokens`, with the
-    marks of terms, makes a file's read 1.1x as slow).  A text that fails
-    is read again by `_tokens`, to report its error where the regex's
-    tokens place it in `text`, after the first stray character if any."""
+    proposition texts, and `_tokens` splits each.  A text that fails is
+    not read again: its error moves to its offset in `text`, after the
+    first stray character in `text` if any."""
     parts = text.split("|-")
     if len(parts) != 2:
         raise ParseError("a sequent needs exactly one |-", 0)
@@ -576,17 +570,14 @@ def _read_sequent(text: str, props: dict, nodes: dict) -> Sequent:
         prop = props.get(key)
         if prop is None:
             try:
-                prop = props[key] = read_text(part, _TOKEN_RE, _prop_tokens, _read_prop, nodes)
-            except ParseError:  # found again with every mark, after a stray character in `text`
-                tokenize(text, _SEQUENT_TOKEN_RE)
+                prop = props[key] = read_text(part, _TOKEN_RE, _tokens, _read_prop, nodes)
+            except ParseError as err:
+                tokenize(text, _SEQUENT_TOKEN_RE)  # a stray character anywhere in `text` first
                 k = len(read)  # `part` is texts[k]; its offset in `text`:
                 start = sum(len(t) + 1 for t in texts[:k])  # past a `,` each
                 if k == len(texts) - 1:  # the conclusion, at the end
                     start = len(text) - len(part)
-                try:
-                    read_text(part, _TOKEN_RE, _tokens, _read_prop, {})
-                except ParseError as err:
-                    raise ParseError(err.message, start + err.position) from None
+                raise ParseError(err.message, start + err.position) from None
         read.append(prop)
     return tuple.__new__(Sequent, (frozenset(read[:-1]), read[-1]))
 

@@ -59,7 +59,6 @@ def record(name: str, *fields: str, defaults: tuple = (), doc: str | None = None
     cls._make = classmethod(lambda cls, iterable: cls(*iterable))
     cls.__eq__ = _same_record
     cls.__ne__ = lambda self, other: not _same_record(self, other)
-    cls.__hash__ = tuple.__hash__
     cls.__bool__ = lambda self: True
     return cls
 

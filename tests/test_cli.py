@@ -805,6 +805,36 @@ def test_a_fresh_process_imports_only_what_its_command_uses(parity_file, argv, e
     assert json.loads(result.stdout) == expected
 
 
+HASH_SEED_PROBE = """\
+import sys
+from ruletrees.cli import run
+codes = [run(["nfa", "run", sys.argv[1], "--state", "s0", "--word", "a"]), run(["nfa", "rules", sys.argv[2]])]
+sys.exit(codes != [2, 2])
+"""
+
+
+def test_an_automaton_with_several_faults_reports_the_first_in_name_order(tmp_path):
+    """Three undeclared finals, or three undeclared transition targets: the
+    fault reported is the first in name order, under every hash seed."""
+    finals, targets = tmp_path / "finals.nfa", tmp_path / "targets.nfa"
+    finals.write_text("state s0\nletter a\ntrans s0 a s0\nfinal f3\nfinal f1\nfinal f2\n")
+    targets.write_text("state s0\nletter a\ntrans s0 a q3\ntrans s0 a q1\ntrans s0 a q2\nfinal s0\n")
+    errors = set()
+    for seed in range(1, 7):
+        result = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_PROBE, str(finals), str(targets)],
+            capture_output=True,
+            text=True,
+            env={**child_env(), "PYTHONHASHSEED": str(seed)},
+        )
+        assert result.returncode == 0 and result.stdout == "", result.stderr
+        errors.add(result.stderr)
+    assert errors == {
+        "syntax error: final state f1 is not declared (at position 0)\n"
+        "syntax error: transition target q1 is not declared (at position 0)\n"
+    }
+
+
 # ----------------------------------------------------------------- argv reader
 
 def _parsed(argv):

@@ -36,7 +36,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import generators
@@ -795,6 +795,7 @@ def lists_mismatch(program) -> bool:
     )
 
 
+@settings(deadline=None)  # its lists run up to ~4 500 long: a loaded host, not the code, decides the time
 @given(_seeds)
 def test_ungodel_matches_the_earlier_decoder_where_every_list_fits(seed):
     rng = random.Random(seed)
@@ -1451,9 +1452,9 @@ def test_natded_and_recfun_str_method_tokens_match_their_token_regexes(seed):
     """natded's and recfun's readers split their tokens off by str methods.
     On texts spaced with every kind of whitespace, as written, with one more
     whitespace character anywhere (it may split a token) and broken, the
-    tokens are the token regex's wherever no character is stray (and
-    without the marks of terms, a proposition's str-method tokens are too),
-    and the value or ParseError is the position-carrying reader's."""
+    tokens are the token regex's wherever no character is stray, and the
+    value or ParseError is the position-carrying reader's.  natded has one
+    splitter, `_tokens`, for its propositions, terms and sequents' parts."""
     rng = random.Random(seed)
     for kind, text in natded_texts(rng).items():
         parse, reference, token_re, split = _READERS[kind]
@@ -1464,8 +1465,6 @@ def test_natded_and_recfun_str_method_tokens_match_their_token_regexes(seed):
         for edited in (text, split_text, broken(rng, text), spaced_tokens(rng, broken(rng, text), token_re)):
             if not has_stray(edited, token_re) and split(edited) is not None:
                 assert split(edited) == token_re.findall(edited), edited
-                if kind == "prop" and not re.search(r"[\[\]{}<>,|:.]", edited):
-                    assert nd._prop_tokens(edited) == token_re.findall(edited), edited
             assert outcome(parse, edited) == outcome(reference, edited), edited
 
 
@@ -1486,6 +1485,9 @@ def test_natded_and_recfun_texts_are_tokenized_only_to_report_an_error(monkeypat
         (nd.parse_prop, "P Q", "unexpected trailing input", 2),
         (nd.parse_sequent, "P, (Q |- R", "expected ')'", 6),
         (nd.parse_sequent, "P |- Q $", "unexpected character '$'", 7),
+        (nd.parse_sequent, "P [ Q |- P", "unexpected trailing input", 2),
+        (nd.parse_sequent, "P, Q : |- P", "unexpected trailing input", 5),
+        (nd.parse_sequent, "P |- Q > R", "unexpected trailing input", 7),
         (lambda t: nd.parse_term(t, "scheme"), "fun [P] hyp P", "expected '['", 12),
         (lambda t: nd.parse_term(t, "var"), "fun x : P x", "expected '.'", 10),
         (rf.parse_program, "comp(succ, succ)", "expected ';'", 9),
