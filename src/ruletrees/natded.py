@@ -191,10 +191,11 @@ def check_sequent_deriv(tree: Tree) -> None:
 def scheme_sequent_tree(term: Term, root_ctx: Iterable[Prop] = ()) -> Tree:
     """Reconstruct the sequent derivation a scheme or named-variable term denotes.
 
-    Labels are (Sequent, rule name) pairs; the root context defaults to
-    empty, and its hypotheses have no names.  Raises Rejected
-    (HypNotInContext, ContextMismatch, UnboundVariable, or ShapeMismatch)
-    at the offending node.
+    Labels are (Sequent, rule name) pairs; the root context defaults to empty,
+    and its hypotheses have no names.  Each node holds its own context, so n
+    binders of distinct propositions give contexts of sizes 1 to n, quadratic
+    in n whatever the walk does.  Raises Rejected (HypNotInContext,
+    ContextMismatch, UnboundVariable, or ShapeMismatch) at the offending node.
     """
     return _sequent_node(term, frozenset(root_ctx), ())
 

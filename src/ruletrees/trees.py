@@ -64,8 +64,7 @@ def record(name: str, *fields: str, defaults: tuple = (), doc: str | None = None
 
 
 class Tree(record("Tree", "label", "children", defaults=((),))):
-    # the folds go through `fold`; the printers and `engine.check_full_tree`
-    # keep a run loop of their own
+    # folds go through `fold`; the printers and `engine.check_full_tree` loop down runs
     __slots__ = ()
 
     def height(self) -> int:
@@ -77,27 +76,18 @@ class Tree(record("Tree", "label", "children", defaults=((),))):
         return fold(self, lambda node, sizes: 1 + sum(sizes))
 
     def map_labels(self, fn: Callable[[Any], Any]) -> Tree:
-        """The same shape with `fn` applied to every label, in preorder; a
-        node with two or more children is mapped once and stays shared."""
-        labels = []  # fn's values, put in in preorder and taken out last first
-        return fold(
-            self,
-            lambda node, children: Tree(labels.pop(), tuple(children)),
-            enter=lambda nodes: labels.extend([fn(node.label) for node in nodes]),
-        )
+        """The same shape with `fn` applied to every label, children first;
+        a node with two or more children is mapped once and stays shared."""
+        return fold(self, lambda node, children: Tree(fn(node.label), tuple(children)))
 
 
-def fold(
-    tree: Tree, node_value: Callable, run_value: Callable | None = None, enter: Callable | None = None
-) -> Any:
+def fold(tree: Tree, node_value: Callable, run_value: Callable | None = None) -> Any:
     """Fold `tree` children first, in one loop that handles each distinct
     node with two or more children once and keeps its value by `id` for
     the call.  `node_value(node, values)` is a node's value from its
     children's values.  `run_value(run, value)`, if given, takes the place
     of `node_value` on a whole run of one-child nodes, listed top-down,
-    above a node worth `value`.  `enter(nodes)`, if given, gets in preorder
-    the nodes reached going down: a run, then the node below it unless its
-    value is kept.
+    above a node worth `value`.
 
     Runs keep no memo, so a tree that shares nothing pays for none.  A run
     below several distinct one-child parents is walked once per parent:
@@ -109,8 +99,6 @@ def fold(
             run.append(node)
             node = node.children[0]
         fresh = len(node.children) < 2 or id(node) not in known
-        if enter is not None:
-            enter(run + [node] if fresh else run)
         if fresh and node.children:
             stack.append((run, node, []))
             node = node.children[0]

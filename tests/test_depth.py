@@ -272,11 +272,16 @@ def depth_of(row: Row) -> int:
 
 
 def _best(thunk: Callable[[], bool], times: int) -> float:
+    """The least time per call over `times` samples, each sample calling
+    `thunk` until it has run at least 10 ms, so that a walk of well under
+    a millisecond is not timed by one call that host load can swamp."""
     best = float("inf")
     for _ in range(times):
-        start = time.perf_counter()
-        assert thunk()
-        best = min(best, time.perf_counter() - start)
+        calls, start = 0, time.perf_counter()
+        while not calls or time.perf_counter() - start < 0.01:
+            assert thunk()
+            calls += 1
+        best = min(best, (time.perf_counter() - start) / calls)
     return best
 
 

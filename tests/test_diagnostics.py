@@ -1041,8 +1041,8 @@ def rec_size(tree):
 
 
 def rec_map_labels(tree, fn):
-    label = fn(tree.label)
-    return Tree(label, tuple(rec_map_labels(c, fn) for c in tree.children))
+    children = tuple(rec_map_labels(c, fn) for c in tree.children)
+    return Tree(fn(tree.label), children)
 
 
 def rec_infer_full_tree(system, name_tree):
@@ -1148,7 +1148,7 @@ def test_one_child_runs_walk_like_the_recursive_walks(seed):
     seen, rec_seen = [], []
     mapped = tree.map_labels(lambda label: seen.append(label) or label.upper())
     assert mapped == rec_map_labels(tree, lambda label: rec_seen.append(label) or label.upper())
-    assert seen == rec_seen  # fn runs in preorder
+    assert seen == rec_seen  # fn runs children first, left to right
     got = outcome(engine.infer_full_tree, RUN_SYSTEM, tree)
     assert got == outcome(rec_infer_full_tree, RUN_SYSTEM, tree)
     if got[0] == "ok":

@@ -348,6 +348,10 @@ def test_a_2_to_the_40_witness_goes_through_every_walk_in_linear_time():
     names = erase_elements(witness)
     assert names.children[0] is names.children[1]
     assert (names.height(), names.size()) == (41, 2**41 - 1)
+    calls = []
+    witness.map_labels(calls.append)
+    # once per distinct two-child node, and the leaf once under each child slot of the lowest
+    assert len(calls) == 42
     full = infer_full_tree(DOUBLING, names)
     assert full.label[0] == 2**40 and full.children[0] is full.children[1]
     assert time.perf_counter() - start < 1.0
